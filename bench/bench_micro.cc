@@ -18,8 +18,7 @@
  *    events/sec, schedule-path heap-allocation counts, a
  *    per-subsystem wall-clock phase split, a fabric-comparison
  *    `topology` section (8x8 mesh vs torus vs cmesh:4x4x4 at equal
- *    core count, each re-checked bit-identical under threads=2) and
- *    the thread-scaling `parallel` section.
+ *    core count).
  * The `perf-smoke` ctest target drives this mode.
  */
 
@@ -447,11 +446,7 @@ runHotpathWorkload(bool optimized, Simulator::HostPhaseProfile *profile,
     return m;
 }
 
-/**
- * Wall-clock nanoseconds for the thread-scaling curve: intra-run
- * parallelism trades total CPU time for latency, so CPU time (which
- * sums across workers) would hide the very effect being measured.
- */
+/** Wall-clock nanoseconds (the topology section reports wall time). */
 double
 wallNowNs()
 {
@@ -462,122 +457,16 @@ wallNowNs()
 }
 
 /**
- * One busy-spin run at a given mesh radix and kernel thread count for
- * the scaling curve. Same workload class as the hotpath A/B; csScale
- * trims the 16x16 runs to bench-friendly lengths.
- */
-HotpathMetrics
-runScalingWorkload(int mesh, int threads, double cs_scale)
-{
-    SystemConfig cfg;
-    cfg.noc.meshWidth = mesh;
-    cfg.noc.meshHeight = mesh;
-    cfg.lockKind = LockKind::Tas;
-    cfg.threads = threads;
-    cfg.finalize();
-
-    System system(cfg);
-
-    Workload::Params wp;
-    wp.profile = busySpinProfile();
-    wp.threads = cfg.numCores();
-    wp.csScale = cs_scale;
-    wp.lockKind = cfg.lockKind;
-    wp.seed = cfg.seed;
-    Workload workload(wp, system.coherent(), system.locks(),
-                      system.sim());
-
-    const double t0 = wallNowNs();
-    workload.start();
-    system.runUntil([&] { return workload.done(); });
-    const double t1 = wallNowNs();
-
-    HotpathMetrics m;
-    m.simCycles = system.sim().now();
-    m.roiCycles = workload.roiFinish();
-    m.csCompleted = workload.csCompleted();
-    m.cpuNs = t1 - t0; // wall ns for this struct's scaling use
-    m.eventsExecuted = system.sim().events().executedTotal();
-    return m;
-}
-
-/**
- * Thread-scaling curve: events/s and wall-clock speedup vs threads=1
- * on 8x8 and 16x16 meshes, threads in {1,2,4,8}, best-of-REPS each.
- * bit_identical records whether every simulated observable matched
- * the threads=1 run; hw_threads records the host's parallelism budget
- * (speedups are bounded by it -- on a 1-CPU host the curve measures
- * barrier overhead, not gain).
- */
-std::string
-buildParallelScalingJson()
-{
-    constexpr int REPS = 3;
-    const int threadCounts[] = {1, 2, 4, 8};
-    std::string json = "  \"parallel\": {\n";
-    json += "    \"hw_threads\": " +
-            std::to_string(std::thread::hardware_concurrency()) +
-            ",\n";
-    json += "    \"threads\": [1, 2, 4, 8],\n";
-    bool firstMesh = true;
-    for (int mesh : {8, 16}) {
-        const double csScale = mesh == 16 ? 0.25 : 1.0;
-        HotpathMetrics base;
-        if (!firstMesh)
-            json += ",\n";
-        firstMesh = false;
-        json += "    \"mesh_" + std::to_string(mesh) + "x" +
-                std::to_string(mesh) + "\": {\n";
-        bool firstRun = true;
-        for (int t : threadCounts) {
-            HotpathMetrics best;
-            for (int r = 0; r < REPS; ++r) {
-                HotpathMetrics m = runScalingWorkload(mesh, t, csScale);
-                if (r == 0 || m.cpuNs < best.cpuNs)
-                    best = m;
-            }
-            if (t == 1)
-                base = best;
-            const bool identical =
-                best.simCycles == base.simCycles &&
-                best.roiCycles == base.roiCycles &&
-                best.csCompleted == base.csCompleted &&
-                best.eventsExecuted == base.eventsExecuted;
-            const double speedup =
-                best.cpuNs > 0 ? base.cpuNs / best.cpuNs : 0;
-            char buf[256];
-            std::snprintf(
-                buf, sizeof buf,
-                "%s      \"threads_%d\": {\n"
-                "        \"wall_ns\": %.0f,\n"
-                "        \"events_per_sec\": %.0f,\n"
-                "        \"speedup\": %.2f,\n"
-                "        \"bit_identical\": %s\n"
-                "      }",
-                firstRun ? "" : ",\n", t, best.cpuNs,
-                best.eventsPerSec(), speedup,
-                identical ? "true" : "false");
-            firstRun = false;
-            json += buf;
-        }
-        json += "\n    }";
-    }
-    json += "\n  }\n";
-    return json;
-}
-
-/**
  * One busy-spin run on an arbitrary fabric (`topology=` spec string)
  * for the fabric-comparison section. Same workload class as the
  * hotpath A/B.
  */
 HotpathMetrics
-runFabricWorkload(const char *spec_text, int threads)
+runFabricWorkload(const char *spec_text)
 {
     SystemConfig cfg;
     TopologySpec::parse(spec_text).applyTo(cfg.noc);
     cfg.lockKind = LockKind::Tas;
-    cfg.threads = threads;
     cfg.finalize();
 
     System system(cfg);
@@ -600,7 +489,7 @@ runFabricWorkload(const char *spec_text, int threads)
     m.simCycles = system.sim().now();
     m.roiCycles = workload.roiFinish();
     m.csCompleted = workload.csCompleted();
-    m.cpuNs = t1 - t0; // wall ns, comparable with the parallel section
+    m.cpuNs = t1 - t0; // wall ns
     m.eventsExecuted = system.sim().events().executedTotal();
     return m;
 }
@@ -610,10 +499,7 @@ runFabricWorkload(const char *spec_text, int threads)
  * baseline vs the torus (wrap links shorten average hop distance but
  * route through dateline escape VCs) vs the concentrated mesh
  * (cmesh:4x4x4 -- 16 routers, 4 cores each, NI fan-in). Each point is
- * best-of-REPS serial wall time; bit_identical_threads2 records
- * whether a threads=2 run of the same config matched every simulated
- * observable (the DESIGN.md Section 12 cross-fabric identity claim,
- * re-checked at bench time).
+ * best-of-REPS wall time.
  */
 std::string
 buildTopologyJson()
@@ -625,16 +511,10 @@ buildTopologyJson()
     for (const char *fabric : fabrics) {
         HotpathMetrics best;
         for (int r = 0; r < REPS; ++r) {
-            HotpathMetrics m = runFabricWorkload(fabric, 1);
+            HotpathMetrics m = runFabricWorkload(fabric);
             if (r == 0 || m.cpuNs < best.cpuNs)
                 best = m;
         }
-        const HotpathMetrics par = runFabricWorkload(fabric, 2);
-        const bool identical =
-            par.simCycles == best.simCycles &&
-            par.roiCycles == best.roiCycles &&
-            par.csCompleted == best.csCompleted &&
-            par.eventsExecuted == best.eventsExecuted;
         char buf[320];
         std::snprintf(
             buf, sizeof buf,
@@ -643,19 +523,17 @@ buildTopologyJson()
             "      \"events_per_sec\": %.0f,\n"
             "      \"sim_cycles\": %llu,\n"
             "      \"roi_cycles\": %llu,\n"
-            "      \"cs_completed\": %llu,\n"
-            "      \"bit_identical_threads2\": %s\n"
+            "      \"cs_completed\": %llu\n"
             "    }",
             first ? "" : ",\n", fabric, best.cpuNs,
             best.eventsPerSec(),
             static_cast<unsigned long long>(best.simCycles),
             static_cast<unsigned long long>(best.roiCycles),
-            static_cast<unsigned long long>(best.csCompleted),
-            identical ? "true" : "false");
+            static_cast<unsigned long long>(best.csCompleted));
         first = false;
         json += buf;
     }
-    json += "\n  },\n";
+    json += "\n  }\n";
     return json;
 }
 
@@ -664,8 +542,7 @@ printHotpathJson(std::FILE *out, const HotpathMetrics &ref,
                  const HotpathMetrics &opt,
                  const Simulator::HostPhaseProfile &phases,
                  const Simulator::HostPhaseProfile &phases8x8,
-                 const std::string &topology_json,
-                 const std::string &parallel_json)
+                 const std::string &topology_json)
 {
     auto emitRun = [out](const char *label, const HotpathMetrics &m) {
         std::fprintf(out,
@@ -738,7 +615,6 @@ printHotpathJson(std::FILE *out, const HotpathMetrics &ref,
     emitSplit("phase_split_optimized", phases, ",");
     emitSplit("phase_split_optimized_8x8", phases8x8, ",");
     std::fputs(topology_json.c_str(), out);
-    std::fputs(parallel_json.c_str(), out);
     std::fprintf(out, "}\n");
 }
 
@@ -766,18 +642,15 @@ runHotpathMode(const char *out_path)
     runHotpathWorkload(true, &phases8x8, 8);
 
     const std::string topology = buildTopologyJson();
-    const std::string parallel = buildParallelScalingJson();
 
-    printHotpathJson(stdout, ref, opt, phases, phases8x8, topology,
-                     parallel);
+    printHotpathJson(stdout, ref, opt, phases, phases8x8, topology);
     if (out_path) {
         std::FILE *f = std::fopen(out_path, "w");
         if (!f) {
             std::fprintf(stderr, "cannot write %s\n", out_path);
             return 1;
         }
-        printHotpathJson(f, ref, opt, phases, phases8x8, topology,
-                         parallel);
+        printHotpathJson(f, ref, opt, phases, phases8x8, topology);
         std::fclose(f);
     }
 

@@ -130,37 +130,46 @@ Config::set(const std::string &key, const std::string &value)
     values[key] = value;
 }
 
+std::map<std::string, std::string>::const_iterator
+Config::lookup(const std::string &key) const
+{
+    auto it = values.find(key);
+    if (it != values.end())
+        readKeys.insert(key);
+    return it;
+}
+
 bool
 Config::has(const std::string &key) const
 {
-    return values.count(key) > 0;
+    return lookup(key) != values.end();
 }
 
 std::string
 Config::getString(const std::string &key, const std::string &fallback) const
 {
-    auto it = values.find(key);
+    auto it = lookup(key);
     return it == values.end() ? fallback : it->second;
 }
 
 long long
 Config::getInt(const std::string &key, long long fallback) const
 {
-    auto it = values.find(key);
+    auto it = lookup(key);
     return it == values.end() ? fallback : parseInt(it->second);
 }
 
 double
 Config::getDouble(const std::string &key, double fallback) const
 {
-    auto it = values.find(key);
+    auto it = lookup(key);
     return it == values.end() ? fallback : parseDouble(it->second);
 }
 
 bool
 Config::getBool(const std::string &key, bool fallback) const
 {
-    auto it = values.find(key);
+    auto it = lookup(key);
     return it == values.end() ? fallback : parseBool(it->second);
 }
 
@@ -172,6 +181,20 @@ Config::keys() const
     for (const auto &kv : values)
         out.push_back(kv.first);
     return out;
+}
+
+void
+Config::requireAllRead() const
+{
+    std::string unread;
+    for (const auto &kv : values) {
+        if (readKeys.count(kv.first))
+            continue;
+        unread += (unread.empty() ? "'" : ", '") + kv.first + "'";
+    }
+    if (!unread.empty())
+        fatal("unknown config key(s) %s: no option reads them",
+              unread.c_str());
 }
 
 } // namespace inpg

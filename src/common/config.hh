@@ -11,12 +11,21 @@
 #define INPG_COMMON_CONFIG_HH
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace inpg {
 
-/** String-keyed configuration with typed, defaulted getters. */
+/**
+ * String-keyed configuration with typed, defaulted getters.
+ *
+ * The store remembers which keys were read (through has() or any
+ * getter), so a tool can reject leftover keys no code looked at --
+ * typos like "mechansim=inpg" -- with requireAllRead() instead of
+ * keeping a second list of valid keys by hand. The bookkeeping makes
+ * the getters mutate the store: a Config is read from one thread.
+ */
 class Config
 {
   public:
@@ -56,7 +65,7 @@ class Config
     /** Set a single key. */
     void set(const std::string &key, const std::string &value);
 
-    /** True if the key is present. */
+    /** True if the key is present (and marks it read). */
     bool has(const std::string &key) const;
 
     std::string getString(const std::string &key,
@@ -68,11 +77,22 @@ class Config
     /** All keys in sorted order (for dumps). */
     std::vector<std::string> keys() const;
 
+    /**
+     * fatal() naming every present key that has() and the getters
+     * never read. Call once all consumers have applied the config.
+     */
+    void requireAllRead() const;
+
   private:
     void parseArgs(int argc, const char *const *argv,
                    const std::vector<std::string> *known);
 
+    /** Mark `key` read; returns its entry, or values.end(). */
+    std::map<std::string, std::string>::const_iterator
+    lookup(const std::string &key) const;
+
     std::map<std::string, std::string> values;
+    mutable std::set<std::string> readKeys;
 };
 
 } // namespace inpg

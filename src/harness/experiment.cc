@@ -167,7 +167,6 @@ makeRunRecord(const RunConfig &cfg, const RunResult &r)
     rec.impl = sys.impl == ImplMode::Fast ? "fast" : "reference";
     rec.cores = sys.numCores();
     rec.bigRouters = sys.inpg.numBigRouters;
-    rec.threads = sys.threads;
     rec.seed = sys.seed;
     rec.csScale = cfg.csScale;
 

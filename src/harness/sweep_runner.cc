@@ -1,8 +1,9 @@
 #include "harness/sweep_runner.hh"
 
-#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <thread>
 
@@ -14,39 +15,37 @@
 
 namespace inpg {
 
+namespace {
+
+/** INPG_SWEEP_THREADS as a positive integer; 0 when unset. */
+int
+envSweepThreads()
+{
+    const char *env = std::getenv("INPG_SWEEP_THREADS");
+    if (!env)
+        return 0;
+    const std::string text = env;
+    int n = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), n);
+    if (ec != std::errc() || end != text.data() + text.size() || n < 1)
+        fatal("INPG_SWEEP_THREADS='%s' is not a positive integer", env);
+    return n;
+}
+
+} // namespace
+
 int
 sweepThreadCount(std::size_t jobs, int requested)
 {
-    if (jobs <= 1)
-        return 1;
-    int n = requested;
-    if (n <= 0) {
-        if (const char *env = std::getenv("INPG_SWEEP_THREADS"))
-            n = std::atoi(env);
-    }
+    int n = requested > 0 ? requested : envSweepThreads();
     if (n <= 0)
         n = static_cast<int>(std::thread::hardware_concurrency());
     if (n <= 0)
         n = 1;
     if (static_cast<std::size_t>(n) > jobs)
-        n = static_cast<int>(jobs);
+        n = jobs > 0 ? static_cast<int>(jobs) : 1;
     return n;
-}
-
-int
-perRunThreadBudget(int sweep_workers, int requested_run_threads,
-                   unsigned hw)
-{
-    if (requested_run_threads <= 1)
-        return 1;
-    if (sweep_workers <= 1)
-        return requested_run_threads;
-    int share = static_cast<int>(hw) /
-                (sweep_workers > 0 ? sweep_workers : 1);
-    if (share < 1)
-        share = 1;
-    return requested_run_threads < share ? requested_run_threads
-                                         : share;
 }
 
 std::vector<RunResult>
@@ -56,25 +55,17 @@ runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
     if (configs.empty())
         return results;
 
-    // Kernel threads each run actually got (after the budget clamp
-    // below), recorded into its ledger entry.
-    std::vector<int> runThreads(configs.size(), 1);
     auto appendLedger = [&] {
         if (!opts.ledger)
             return;
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            RunRecord rec = makeRunRecord(configs[i], results[i]);
-            rec.threads = runThreads[i];
-            opts.ledger->append(rec);
-        }
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            opts.ledger->append(makeRunRecord(configs[i], results[i]));
     };
 
     const int nthreads = sweepThreadCount(configs.size(), opts.threads);
     if (nthreads == 1) {
-        for (std::size_t i = 0; i < configs.size(); ++i) {
+        for (std::size_t i = 0; i < configs.size(); ++i)
             results[i] = runBenchmark(configs[i]);
-            runThreads[i] = std::max(configs[i].system.threads, 1);
-        }
         appendLedger();
         return results;
     }
@@ -83,25 +74,24 @@ runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
     // first use; force that once before workers can race on it.
     Trace::initFromEnvironment();
 
+    // An exception must not escape a worker (that would terminate the
+    // process): each job's is kept, and once one fails no new jobs are
+    // claimed. Jobs are claimed in index order, so every lower index
+    // has already been claimed and runs to completion -- the lowest
+    // failing index is the one the serial loop would have thrown.
+    std::vector<std::exception_ptr> errors(configs.size());
+    std::atomic<bool> failed{false};
     std::atomic<std::size_t> next{0};
-    const unsigned hw = std::thread::hardware_concurrency();
     auto worker = [&] {
-        for (;;) {
+        while (!failed.load()) {
             const std::size_t i = next.fetch_add(1);
             if (i >= configs.size())
                 return;
-            // Sweep-level parallelism outranks intra-run parallelism:
-            // clamp each run's kernel threads to its share of the
-            // host so N workers x M kernel threads cannot
-            // oversubscribe. Bit-identical either way.
-            if (configs[i].system.threads > 1) {
-                RunConfig rc = configs[i];
-                rc.system.threads = perRunThreadBudget(
-                    nthreads, rc.system.threads, hw);
-                runThreads[i] = rc.system.threads;
-                results[i] = runBenchmark(rc);
-            } else {
+            try {
                 results[i] = runBenchmark(configs[i]);
+            } catch (...) {
+                errors[i] = std::current_exception();
+                failed.store(true);
             }
         }
     };
@@ -112,6 +102,9 @@ runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
         pool.emplace_back(worker);
     for (auto &th : pool)
         th.join();
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
     appendLedger();
     return results;
 }

@@ -40,25 +40,20 @@ struct SweepOptions {
 /**
  * Resolve the worker count for `jobs` jobs: an explicit request wins,
  * then the INPG_SWEEP_THREADS environment variable, then the hardware
- * thread count; always within [1, jobs].
+ * thread count; always within [1, max(jobs, 1)]. INPG_SWEEP_THREADS
+ * must be a positive decimal integer; anything else is fatal.
  */
 int sweepThreadCount(std::size_t jobs, int requested);
 
 /**
- * Arbitrate the host thread budget between sweep-level and intra-run
- * parallelism: with `sweep_workers` concurrent runs on `hw` hardware
- * threads, each run's SystemConfig::threads request is clamped to its
- * fair share max(1, hw / sweep_workers) so a sweep of parallel-kernel
- * runs cannot oversubscribe the host. Never raises a request; a
- * serial run (request <= 1) stays serial. Simulated results are
- * unaffected (the parallel kernel is bit-identical at any width).
- */
-int perRunThreadBudget(int sweep_workers, int requested_run_threads,
-                       unsigned hw);
-
-/**
  * Run every configuration and return results in submission order.
  * Runs inline (no threads) when only one worker is warranted.
+ *
+ * A run that throws (FatalError for a rejected configuration,
+ * SimHangError for a watchdog trip) fails the whole sweep the same
+ * way at any worker count: the exception of the lowest-index failing
+ * configuration propagates to the caller, and nothing is appended to
+ * the ledger.
  */
 std::vector<RunResult> runSweep(const std::vector<RunConfig> &configs,
                                 const SweepOptions &opts = {});

@@ -5,7 +5,6 @@
 #include "harness/hang_report.hh"
 #include "inpg/big_router.hh"
 #include "noc/topology.hh"
-#include "sim/parallel/parallel_kernel.hh"
 
 namespace inpg {
 
@@ -42,14 +41,7 @@ System::System(SystemConfig config) : cfg(std::move(config))
     lockMgr = std::make_unique<LockManager>(*memSys, kernel, cfg.sync);
     if (telem && (telem->timeseries || telem->watchdog))
         wireDiagnosis();
-    // Last: every Ticking must already be registered (the kernel
-    // steals router slots; Simulator::addTicking refuses afterwards).
-    if (cfg.threads > 1)
-        parKernel = std::make_unique<ParallelKernel>(
-            kernel, memSys->network(), cfg.threads);
 }
-
-System::~System() = default;
 
 void
 System::wireDiagnosis()
@@ -197,7 +189,7 @@ System::buildStatsRegistry() const
 }
 
 JsonValue
-System::statsSnapshot(bool include_parallel_profile) const
+System::statsSnapshot(bool) const
 {
     JsonValue doc = buildStatsRegistry().snapshot();
     if (telem && telem->lco)
@@ -225,11 +217,6 @@ System::statsSnapshot(bool include_parallel_profile) const
         fr["lost_to_wrap"] = telem->recorder->wrapped();
         doc["recorder"] = fr;
     }
-    // Absent at threads == 1, so serial snapshots are byte-identical
-    // to pre-profiler ones; the flag lets the parallel-equivalence
-    // tests compare thread counts on the simulated sections alone.
-    if (include_parallel_profile && parKernel)
-        doc["parallel_profile"] = parKernel->profile().toJson();
     return doc;
 }
 

@@ -100,10 +100,6 @@ SystemConfig::finalize()
     }
     if (const char *env = std::getenv("INPG_TELEMETRY"))
         telemetry.applySpec(env);
-    if (threads < 1)
-        threads = 1;
-    if (threads > 64)
-        threads = 64;
 }
 
 void
@@ -144,7 +140,6 @@ SystemConfig::applyOverrides(const Config &cfg)
     noc.meshHeight = static_cast<int>(
         cfg.getInt("mesh_height", noc.meshHeight));
     noc.escapeVcs = cfg.getBool("escape_vcs", noc.escapeVcs);
-    threads = static_cast<int>(cfg.getInt("threads", threads));
     noc.vcsPerVnet = static_cast<int>(
         cfg.getInt("vcs_per_vnet", noc.vcsPerVnet));
     noc.vcDepth = static_cast<int>(cfg.getInt("vc_depth", noc.vcDepth));

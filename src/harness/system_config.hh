@@ -52,15 +52,6 @@ struct SystemConfig {
 
     TelemetryConfig telemetry; ///< instrumentation; all off by default
 
-    /**
-     * Host worker threads for the simulation kernel. 1 (the default)
-     * runs the classic serial loop; >1 attaches the parallel kernel
-     * (src/sim/parallel), which shards plain routers across worker
-     * threads in conservative-lookahead quanta. Simulated results are
-     * bit-identical for every value. finalize() clamps to [1, 64].
-     */
-    int threads = 1;
-
     std::uint64_t seed = 1;
 
     /**

@@ -16,11 +16,7 @@
  *  - a simulated System must be constructed, run and destroyed on a
  *    single host thread: flits are born and die on that thread (the
  *    parallel sweep runner confines each configuration to one
- *    worker). The parallel kernel (src/sim/parallel) keeps this
- *    true: only the coordinator thread creates or releases flits (NI
- *    inject/eject, BigRouter generation); fabric workers move
- *    already-live FlitPtrs between buffers, with ownership handed
- *    across the quantum barrier's release/acquire edges;
+ *    worker);
  *  - pool-less Flits (pool == nullptr, e.g. unit tests constructing
  *    Flit on the heap manually) are deleted instead of recycled.
  */

@@ -11,7 +11,6 @@
 #define INPG_NOC_LINK_HH
 
 #include <utility>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -81,39 +80,18 @@ class DelayLine
 };
 
 /**
- * Diversion mailbox for a cross-domain channel (parallel kernel
- * only). While installed on a Channel, pushes are appended here --
- * stamped with their push cycle, FIFO per direction -- instead of
- * entering the DelayLines, so a producer on one thread never touches
- * the consumer's state mid-quantum. The coordinator drains the box at
- * the quantum barrier by re-pushing with the original cycles, which
- * reproduces the serial delivery schedule exactly. The two vectors
- * have disjoint single writers (the flit sender and the credit
- * sender live in the two different domains that make the channel a
- * boundary), so the box needs no lock.
- */
-struct ChannelOutbox {
-    std::vector<std::pair<Cycle, FlitPtr>> flits;
-    std::vector<std::pair<Cycle, Credit>> credits;
-
-    bool empty() const { return flits.empty() && credits.empty(); }
-};
-
-/**
  * One direction of a router-to-router (or NI-to-router) channel:
  * a flit pipe downstream and a credit pipe upstream.
  *
  * The flit delay is linkLatency + 1 to account for the sender's switch
  * traversal stage (ST), completing the paper's 2-stage router + 1-cycle
- * link hop timing; credits return in creditLatency cycles (1 by
- * default -- together these lower-bound the parallel kernel's
- * conservative lookahead).
+ * link hop timing; credits return in 1 cycle.
  */
 class Channel
 {
   public:
-    explicit Channel(Cycle link_latency = 1, Cycle credit_latency = 1)
-        : flits(link_latency + 1), credits(credit_latency)
+    explicit Channel(Cycle link_latency = 1)
+        : flits(link_latency + 1), credits(1)
     {}
 
     /**
@@ -124,25 +102,10 @@ class Channel
     void setFlitSink(Ticking *sink) { flitSink = sink; }
     void setCreditSink(Ticking *sink) { creditSink = sink; }
 
-    /** Registered consumers (parallel-kernel domain classification). */
-    Ticking *flitSinkComponent() const { return flitSink; }
-    Ticking *creditSinkComponent() const { return creditSink; }
-
-    /**
-     * Install (or remove with nullptr) a cross-domain diversion box;
-     * see ChannelOutbox. Serial runs never install one, so the only
-     * overhead off the parallel path is one predictable branch.
-     */
-    void setOutbox(ChannelOutbox *box) { outbox = box; }
-
     /** Inject a flit and wake the downstream consumer. */
     void
     pushFlit(FlitPtr flit, Cycle now)
     {
-        if (outbox) {
-            outbox->flits.emplace_back(now, std::move(flit));
-            return;
-        }
         flits.push(std::move(flit), now);
         if (flitSink)
             flitSink->sleepToken().wake();
@@ -152,10 +115,6 @@ class Channel
     void
     pushCredit(Credit credit, Cycle now)
     {
-        if (outbox) {
-            outbox->credits.emplace_back(now, credit);
-            return;
-        }
         credits.push(credit, now);
         if (creditSink)
             creditSink->sleepToken().wake();
@@ -167,7 +126,6 @@ class Channel
   private:
     Ticking *flitSink = nullptr;
     Ticking *creditSink = nullptr;
-    ChannelOutbox *outbox = nullptr;
 };
 
 } // namespace inpg

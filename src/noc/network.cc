@@ -36,7 +36,7 @@ Network::Network(const NocConfig &config, Simulator &sim,
 
     // Inter-router wiring from the topology's canonical link list (the
     // mesh subset enumerates in the same order the old builder did, so
-    // allChannels() is unchanged on meshes).
+    // channel construction order is unchanged on meshes).
     for (const TopoLink &link : topo->links()) {
         Channel *fwd = newChannel();
         Channel *rev = newChannel();
@@ -61,7 +61,7 @@ Channel *
 Network::newChannel()
 {
     channels.push_back(
-        std::make_unique<Channel>(cfg.linkLatency, cfg.creditLatency));
+        std::make_unique<Channel>(cfg.linkLatency));
     return channels.back().get();
 }
 

@@ -96,16 +96,6 @@ class Network
      */
     void setTelemetry(Telemetry *t);
 
-    /**
-     * Every channel in construction order (stable across runs); the
-     * parallel kernel walks this to classify cross-domain boundaries.
-     */
-    const std::vector<std::unique_ptr<Channel>> &
-    allChannels() const
-    {
-        return channels;
-    }
-
   private:
     NocConfig cfg;
     std::unique_ptr<Topology> topo;

@@ -72,13 +72,6 @@ struct NocConfig {
     /** Wire latency of one hop in cycles (router adds its 2 stages). */
     Cycle linkLatency = 1;
 
-    /**
-     * Credit return latency in cycles. Together with linkLatency it
-     * lower-bounds the parallel kernel's conservative lookahead:
-     * quantum <= min(linkLatency + 1, creditLatency).
-     */
-    Cycle creditLatency = 1;
-
     /** Flits in a cache-block-carrying packet (128B / 128-bit = 8). */
     int dataPacketFlits = 8;
 

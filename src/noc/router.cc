@@ -297,8 +297,7 @@ Router::drainFlits(Cycle now)
             if (isHeadFlit(flit->type)) {
                 onHeadFlitArrived(flit, p, now);
                 if (pktTel)
-                    telRouterOp(PacketTelOp::Kind::RouterArrive,
-                                flit->packet->id, now);
+                    pktTel->onRouterArrive(id, flit->packet->id, now);
             }
             if (soa)
                 soa->receiveFlit(p, std::move(flit), now);
@@ -387,8 +386,7 @@ Router::tryAllocateVc(InputUnit &iu, VcId v, Cycle now)
     iu.refreshMask(v);
     ++*vaGrantsCtr;
     if (pktTel)
-        telRouterOp(PacketTelOp::Kind::VaGrant,
-                    ch.buffer.front()->packet->id, now);
+        pktTel->onVaGrant(id, ch.buffer.front()->packet->id, now);
 }
 
 void
@@ -469,8 +467,7 @@ Router::tryAllocateVcSoA(int port, VcId v, Cycle now)
     a.refreshMask(s);
     ++*vaGrantsCtr;
     if (pktTel)
-        telRouterOp(PacketTelOp::Kind::VaGrant,
-                    a.front(s)->packet->id, now);
+        pktTel->onVaGrant(id, a.front(s)->packet->id, now);
 }
 
 void
@@ -518,8 +515,7 @@ Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
                           now);
         ++*packetsRoutedCtr;
         if (pktTel)
-            telRouterOp(PacketTelOp::Kind::RouterDepart,
-                        flit->packet->id, now);
+            pktTel->onRouterDepart(id, flit->packet->id, now);
     }
 
     // Return a buffer credit upstream (none for the generator port).
@@ -789,8 +785,7 @@ Router::switchTraverseSoA(int inport, VcId v, int outport, Cycle now)
                           now);
         ++*packetsRoutedCtr;
         if (pktTel)
-            telRouterOp(PacketTelOp::Kind::RouterDepart,
-                        flit->packet->id, now);
+            pktTel->onRouterDepart(id, flit->packet->id, now);
     }
 
     // Return a buffer credit upstream (none for the generator port).

@@ -36,7 +36,6 @@
 #include "noc/vc_state.hh"
 #include "sim/ticking.hh"
 #include "telemetry/flight_recorder.hh"
-#include "telemetry/packet_lifetime.hh"
 
 namespace inpg {
 
@@ -82,18 +81,6 @@ class Router : public Ticking
 
     /** Attach (or detach with nullptr) the packet-lifetime tracker. */
     void setPacketTracker(PacketLifetimeTracker *t) { pktTel = t; }
-
-    /** Attached packet-lifetime tracker (parallel-kernel replay). */
-    PacketLifetimeTracker *packetTracker() const { return pktTel; }
-
-    /**
-     * Divert packet-lifetime hooks into a per-domain deferred log
-     * instead of calling the tracker directly (set by the parallel
-     * kernel for routers running off the coordinator thread; the
-     * coordinator replays the log at each quantum barrier). nullptr
-     * restores direct calls.
-     */
-    void setPacketTelLog(std::vector<PacketTelOp> *log) { telLog = log; }
 
     /** Attach (or detach with nullptr) the flight recorder. */
     void setFlightRecorder(FlightRecorder *r) { frec = r; }
@@ -308,32 +295,8 @@ class Router : public Ticking
     /** Packet-lifetime telemetry; null when telemetry is off. */
     PacketLifetimeTracker *pktTel = nullptr;
 
-    /** Deferred-op log for pktTel; null on the coordinator thread. */
-    std::vector<PacketTelOp> *telLog = nullptr;
-
     /** Flight recorder; null when off. */
     FlightRecorder *frec = nullptr;
-
-    /** Route a pktTel hook directly or into the deferred log. */
-    void
-    telRouterOp(PacketTelOp::Kind kind, PacketId pkt, Cycle now)
-    {
-        if (telLog) {
-            telLog->push_back(PacketTelOp{kind, id, pkt, now});
-            return;
-        }
-        switch (kind) {
-          case PacketTelOp::Kind::RouterArrive:
-            pktTel->onRouterArrive(id, pkt, now);
-            break;
-          case PacketTelOp::Kind::VaGrant:
-            pktTel->onVaGrant(id, pkt, now);
-            break;
-          case PacketTelOp::Kind::RouterDepart:
-            pktTel->onRouterDepart(id, pkt, now);
-            break;
-        }
-    }
 
     /** Cached hot counters (string lookup once at construction). */
     std::uint64_t *flitsReceivedCtr = nullptr;

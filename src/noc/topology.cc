@@ -200,7 +200,7 @@ Topology::links() const
 {
     // Canonical order: ascending router id, East before South --
     // exactly the order the pre-Topology mesh builder wired channels,
-    // so mesh channel enumeration (allChannels()) is unchanged. Every
+    // so mesh channel construction order is unchanged. Every
     // undirected link is the East (resp. South) link of exactly one
     // router, wrap links included.
     std::vector<TopoLink> out;

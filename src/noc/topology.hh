@@ -159,7 +159,7 @@ class Topology
      * Every inter-router link, in the canonical order the Network
      * wires channels: ascending router id, East before South (the
      * exact order the pre-Topology mesh builder used, so mesh wiring
-     * -- and therefore allChannels() -- is unchanged).
+     * -- and therefore channel construction order -- is unchanged).
      */
     std::vector<TopoLink> links() const;
 

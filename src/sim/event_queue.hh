@@ -26,12 +26,8 @@
  * design -- a binary heap of heap-allocated callbacks -- kept as the
  * differential-testing and benchmarking baseline.
  *
- * Threading: the queue is single-threaded and stays whole under the
- * parallel kernel (src/sim/parallel). Every event scheduler -- NIs,
- * L1s, directories, locks, workload, BigRouters -- lives on the
- * coordinator thread; plain fabric routers never schedule events, so
- * a per-tile queue shard would always be empty and cross-tile
- * schedule() routing never arises (DESIGN.md Section 11).
+ * Threading: the queue is single-threaded, like the whole System
+ * that owns it (DESIGN.md Section 11).
  */
 
 #ifndef INPG_SIM_EVENT_QUEUE_HH

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "sim/parallel/parallel_kernel.hh"
 #include "telemetry/telemetry.hh"
 
 namespace inpg {
@@ -29,9 +28,6 @@ void
 Simulator::addTicking(Ticking *component)
 {
     INPG_ASSERT(component != nullptr, "registering null component");
-    INPG_ASSERT(parKernel == nullptr,
-                "cannot register components while a parallel kernel "
-                "is attached (it has already partitioned the slots)");
     INPG_ASSERT(!component->token.bound(),
                 "component %s registered twice",
                 component->tickName().c_str());
@@ -68,22 +64,6 @@ Simulator::setTelemetry(Telemetry *t)
     kernelProf = t ? t->kernel : nullptr;
     sampler = t ? t->timeseries : nullptr;
     wdog = t ? t->watchdog : nullptr;
-}
-
-void
-Simulator::attachParallel(ParallelKernel *k)
-{
-    INPG_ASSERT(k == nullptr || parKernel == nullptr,
-                "a parallel kernel is already attached");
-    INPG_ASSERT(k == nullptr || profile == nullptr,
-                "host phase profiling requires the serial kernel");
-    parKernel = k;
-}
-
-std::size_t
-Simulator::totalActive() const
-{
-    return activeCount + (parKernel ? parKernel->fabricActive() : 0);
 }
 
 void
@@ -128,10 +108,6 @@ Simulator::step()
 {
     if (profile) {
         stepProfiled();
-        return;
-    }
-    if (parKernel) {
-        parKernel->step(1);
         return;
     }
     runEventPhase();
@@ -195,7 +171,7 @@ Simulator::run(Cycle n)
 {
     const Cycle limit = currentCycle + n;
     while (currentCycle < limit) {
-        if (ffEnabled && totalActive() == 0) {
+        if (ffEnabled && activeCount == 0) {
             const Cycle target = std::min(limit, idleHorizon());
             if (target > currentCycle) {
                 if (kernelProf)
@@ -208,14 +184,7 @@ Simulator::run(Cycle n)
                 continue;
             }
         }
-        if (parKernel && !profile) {
-            // Fixed-horizon stepping has no per-cycle predicate, so
-            // the parallel kernel may batch up to its conservative
-            // lookahead per barrier round-trip (it clamps internally).
-            parKernel->step(limit - currentCycle);
-        } else {
-            step();
-        }
+        step();
     }
 }
 
@@ -227,7 +196,7 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle max_cycles,
     while (currentCycle < limit) {
         if (done())
             return true;
-        if (ffEnabled && totalActive() == 0) {
+        if (ffEnabled && activeCount == 0) {
             if (wdog && mode == PredicateMode::StateChange &&
                 eventQueue.empty()) {
                 // Every component is asleep and the event horizon is

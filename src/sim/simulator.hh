@@ -32,7 +32,6 @@ namespace inpg {
 
 class Telemetry;
 class KernelProfile;
-class ParallelKernel;
 class TimeseriesSampler;
 class ProgressWatchdog;
 
@@ -141,29 +140,13 @@ class Simulator
     /** Installed telemetry facade, or nullptr when disabled. */
     Telemetry *telemetry() const { return tel; }
 
-    /**
-     * Attach (or detach with nullptr) a parallel kernel. While one is
-     * attached, step()/run()/runUntil() delegate cycle execution to
-     * its quantum stepper and component registration is rejected.
-     * Installed by ParallelKernel itself; see sim/parallel.
-     */
-    void attachParallel(ParallelKernel *k);
-
-    /** Attached parallel kernel, or nullptr in serial mode. */
-    ParallelKernel *parallel() const { return parKernel; }
-
-    /**
-     * Components currently in the active set, across the serial set
-     * and every fabric domain of an attached parallel kernel.
-     */
-    std::size_t activeComponents() const { return totalActive(); }
+    /** Components currently in the active set. */
+    std::size_t activeComponents() const { return activeCount; }
 
     /** Registered components (active or not). */
     std::size_t numComponents() const { return slots.size(); }
 
   private:
-    /** Quantum stepper: shares the sweep internals (sim/parallel). */
-    friend class ParallelKernel;
     /** Tick-name-derived bucket of HostPhaseProfile. */
     enum class PhaseClass : std::uint8_t {
         Router,
@@ -182,11 +165,8 @@ class Simulator
     /** Fire due events (feeding the kernel profile when attached). */
     void runEventPhase();
 
-    /** Sweep the serial active bitmap once at the current cycle. */
+    /** Sweep the active bitmap once at the current cycle. */
     void sweepActive();
-
-    /** Active components including fabric domains (fast-forward gate). */
-    std::size_t totalActive() const;
 
     /**
      * Cycle at which the next stimulus can occur once the active set is
@@ -212,7 +192,6 @@ class Simulator
     std::uint64_t ffJumps = 0;
 
     HostPhaseProfile *profile = nullptr;
-    ParallelKernel *parKernel = nullptr;
     Telemetry *tel = nullptr;
     KernelProfile *kernelProf = nullptr;
     TimeseriesSampler *sampler = nullptr;

@@ -56,8 +56,6 @@ class SleepToken
 
   private:
     friend class Simulator;
-    /** Re-binds tokens into per-domain bitmaps (sim/parallel). */
-    friend class ParallelKernel;
 
     std::uint64_t *word = nullptr;
     std::uint64_t bit = 0;

@@ -97,22 +97,6 @@ PacketLifetimeTracker::onRouterDepart(NodeId router, PacketId id,
 }
 
 void
-PacketLifetimeTracker::apply(const PacketTelOp &op)
-{
-    switch (op.kind) {
-      case PacketTelOp::Kind::RouterArrive:
-        onRouterArrive(op.router, op.pkt, op.at);
-        break;
-      case PacketTelOp::Kind::VaGrant:
-        onVaGrant(op.router, op.pkt, op.at);
-        break;
-      case PacketTelOp::Kind::RouterDepart:
-        onRouterDepart(op.router, op.pkt, op.at);
-        break;
-    }
-}
-
-void
 PacketLifetimeTracker::onPacketEjected(const Packet &pkt, Cycle now)
 {
     auto it = live.find(pkt.id);

@@ -28,30 +28,6 @@ namespace inpg {
 
 class TraceEventSink;
 
-/**
- * One deferred router-side tracker call. Routers running inside a
- * parallel fabric domain cannot call the tracker directly (its map
- * and stats live on the coordinator thread), so they append ops to a
- * per-domain log that the coordinator replays at the quantum barrier
- * via PacketLifetimeTracker::apply(). Replay order across domains is
- * immaterial: a packet occupies one router per cycle, so its ops land
- * in one log in program order, and different packets touch disjoint
- * live-map records; map insert/erase and the statistics roll-up only
- * ever happen on the coordinator (NI / generator hooks).
- */
-struct PacketTelOp {
-    enum class Kind : std::uint8_t {
-        RouterArrive,
-        VaGrant,
-        RouterDepart,
-    };
-
-    Kind kind = Kind::RouterArrive;
-    NodeId router = 0;
-    PacketId pkt = 0;
-    Cycle at = 0;
-};
-
 /** Hop-granular lifecycle observer for NoC packets. */
 class PacketLifetimeTracker
 {
@@ -76,9 +52,6 @@ class PacketLifetimeTracker
 
     /** Tail flit reassembled at the destination NI. */
     void onPacketEjected(const Packet &pkt, Cycle now);
-
-    /** Replay one deferred router-side op (see PacketTelOp). */
-    void apply(const PacketTelOp &op);
 
     /** Aggregated latency statistics over completed packets. */
     const StatGroup &statGroup() const { return stats; }

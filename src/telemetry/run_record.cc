@@ -63,7 +63,6 @@ RunRecord::toJson() const
     cfg["impl"] = impl;
     cfg["cores"] = cores;
     cfg["big_routers"] = bigRouters;
-    cfg["threads"] = threads;
     cfg["seed"] = seed;
     cfg["cs_scale"] = csScale;
     doc["config"] = std::move(cfg);
@@ -124,7 +123,6 @@ RunRecord::fromJson(const JsonValue &doc, std::string *err)
     rec.impl = cfg.at("impl").asString();
     rec.cores = static_cast<int>(cfg.at("cores").asInt());
     rec.bigRouters = static_cast<int>(cfg.at("big_routers").asInt());
-    rec.threads = static_cast<int>(cfg.at("threads").asInt(1));
     rec.seed = cfg.at("seed").asUint(1);
     rec.csScale = cfg.at("cs_scale").asDouble();
 

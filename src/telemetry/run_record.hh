@@ -2,7 +2,7 @@
  * @file
  * RunRecord: the versioned, machine-readable record of one benchmark
  * run -- full provenance (commit, compiler, topology, mechanism, lock,
- * threads, seed, implementation flavor) plus the scalar metrics every
+ * seed, implementation flavor) plus the scalar metrics every
  * figure is computed from, the LCO leg breakdown, the timeseries
  * summary, and the complete stats snapshot.
  *
@@ -67,7 +67,6 @@ struct RunRecord {
     std::string impl;      ///< "fast" / "reference"
     int cores = 0;
     int bigRouters = 0;
-    int threads = 1; ///< host kernel threads (bit-identical results)
     std::uint64_t seed = 1;
     double csScale = 0;
 
@@ -94,9 +93,11 @@ struct RunRecord {
     /**
      * Simulated-configuration identity used to pair records across
      * ledgers: benchmark, mechanism, lock, topology, big routers, seed
-     * and cs_scale. `threads` and `impl` are deliberately excluded --
-     * both are documented bit-identical in simulated results, so a
-     * threads=4 run diffs cleanly against its threads=1 twin.
+     * and cs_scale. `impl` is deliberately excluded -- both flavors
+     * are documented bit-identical in simulated results, so a
+     * reference run diffs cleanly against its fast twin. Ledgers
+     * written before the serial kernel became the only one may carry
+     * a `config.threads` key; fromJson() ignores it.
      */
     std::string configKey() const;
 

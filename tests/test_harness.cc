@@ -1,14 +1,23 @@
 /**
  * @file
  * Harness tests: configuration parsing, mechanism wiring, the table
- * printer, the synthesis model, OCOR's priority mapping, and
- * end-to-end experiment determinism.
+ * printer, the synthesis model, OCOR's priority mapping, end-to-end
+ * experiment determinism, and the sweep runner's failure handling and
+ * worker-count validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/logging.hh"
 #include "harness/experiment.hh"
+#include "harness/sweep_runner.hh"
 #include "harness/table_printer.hh"
+#include "noc/topology.hh"
 #include "inpg/synthesis_model.hh"
 #include "ocor/ocor_policy.hh"
 
@@ -235,6 +244,81 @@ TEST(Experiment, PhaseFractionsAreSane)
     EXPECT_LE(total, 1.001);
     EXPECT_LE(r.sleepCycles, r.cohCycles);
     EXPECT_LE(r.lockCohCycles, r.cohCycles + r.cseCycles);
+}
+
+// ---------------------------------------------------------------------
+// Sweep runner
+// ---------------------------------------------------------------------
+
+/** A torus without escape VCs: System construction rejects it. */
+RunConfig
+rejectedTorus()
+{
+    RunConfig rc;
+    rc.profile = benchmarkByName("freq");
+    TopologySpec::parse("torus:4x4").applyTo(rc.system.noc);
+    rc.system.noc.escapeVcs = false;
+    rc.csScale = 0.01;
+    return rc;
+}
+
+TEST(SweepRunner, PooledRunFailureRethrowsInsteadOfTerminating)
+{
+    RunConfig ok;
+    ok.profile = benchmarkByName("freq");
+    ok.system.noc.meshWidth = 2;
+    ok.system.noc.meshHeight = 2;
+    ok.csScale = 0.01;
+    const std::vector<RunConfig> configs = {ok, rejectedTorus(),
+                                            rejectedTorus()};
+    // A rejected configuration fails the sweep the same way whether it
+    // ran inline or on a pooled worker thread.
+    SweepOptions serial;
+    serial.threads = 1;
+    EXPECT_THROW(runSweep(configs, serial), FatalError);
+    SweepOptions pooled;
+    pooled.threads = 2;
+    EXPECT_THROW(runSweep(configs, pooled), FatalError);
+}
+
+/** Sets INPG_SWEEP_THREADS for one scope, restoring the old value. */
+class ScopedSweepEnv
+{
+  public:
+    explicit ScopedSweepEnv(const char *value)
+    {
+        if (const char *old = std::getenv(NAME))
+            saved = old;
+        ::setenv(NAME, value, 1);
+    }
+
+    ~ScopedSweepEnv()
+    {
+        if (saved)
+            ::setenv(NAME, saved->c_str(), 1);
+        else
+            ::unsetenv(NAME);
+    }
+
+  private:
+    static constexpr const char *NAME = "INPG_SWEEP_THREADS";
+    std::optional<std::string> saved;
+};
+
+TEST(SweepRunner, EnvThreadCountMustBeAPositiveInteger)
+{
+    for (const char *bad : {"abc", "-2", "4x", "0", "", " 3", "+2",
+                            "99999999999"}) {
+        ScopedSweepEnv env(bad);
+        EXPECT_THROW(sweepThreadCount(8, 0), FatalError)
+            << "INPG_SWEEP_THREADS='" << bad << "' was accepted";
+    }
+    {
+        ScopedSweepEnv env("3");
+        EXPECT_EQ(sweepThreadCount(8, 0), 3);
+        EXPECT_EQ(sweepThreadCount(2, 0), 2); // capped at the job count
+        EXPECT_EQ(sweepThreadCount(8, 5), 5); // explicit request wins
+    }
 }
 
 } // namespace

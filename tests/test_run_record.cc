@@ -39,7 +39,6 @@ makeRecord(const std::string &mech, const std::string &lock,
     rec.impl = "fast";
     rec.cores = 16;
     rec.bigRouters = 1;
-    rec.threads = 1;
     rec.seed = seed;
     rec.csScale = 0.05;
     rec.roiCycles = roi_cycles;
@@ -178,12 +177,20 @@ TEST(RunRecord, SchemaVersionCompatibility)
 TEST(RunRecord, ConfigKeyPairsAcrossThreadsAndImpl)
 {
     RunRecord a = makeRecord("iNPG", "QSL", 1, 100);
-    RunRecord b = a;
-    // threads and impl are documented bit-identical in simulated
-    // results, so they are excluded from the pairing identity.
-    b.threads = 4;
-    b.impl = "reference";
+    // impl is documented bit-identical in simulated results, so it is
+    // excluded from the pairing identity. Ledgers from before the
+    // serial kernel became the only one carry a config.threads key
+    // (threads=4 was bit-identical too): the reader ignores it, so
+    // such a line still parses and pairs with today's records.
+    JsonValue doc = a.toJson();
+    doc["config"]["threads"] = 4;
+    doc["config"]["impl"] = "reference";
+    std::string err;
+    RunRecord b = RunRecord::fromJson(doc, &err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(b.impl, "reference");
     EXPECT_EQ(a.configKey(), b.configKey());
+    EXPECT_EQ(b.toJson().at("config").find("threads"), nullptr);
 
     RunRecord c = a;
     c.seed = 2;

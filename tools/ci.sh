@@ -13,8 +13,7 @@
 #      drop_dir_response knob must exit 86 (HANG_EXIT_CODE) and write
 #      a well-formed structured hang report;
 #   4. torus/fabric smoke -- a torus:8x8 iNPG run must be
-#      deterministic and bit-identical between the serial and parallel
-#      kernels, the no-escape-VC torus must be rejected by the
+#      deterministic, the no-escape-VC torus must be rejected by the
 #      channel-dependency verifier, and a cmesh run must complete;
 #   5. experiment-ledger report smoke -- identical tiny configs must
 #      diff clean under tools/inpg_report, an injected metric delta
@@ -26,7 +25,7 @@
 #      N=3 with it, plus the seeded-mutation --self-test; hard time
 #      budget via timeout(1);
 #   7. ./run_benches.sh --tsan then --sanitize -- the threaded suites
-#      (parallel kernel, sweep pool, trace sink) under
+#      (sweep pool, trace sink, determinism harness) under
 #      ThreadSanitizer in build-tsan/, then configure + build + full
 #      ctest under ASan/UBSan in build-asan/.
 # Flags:
@@ -138,12 +137,6 @@ run_torus_smoke() {
         echo "FAIL: torus runs are not deterministic" >&2
         exit 1
     fi
-    out_par=$("$sim" benchmark=freq mechanism=inpg topology=torus:8x8 \
-        big_routers=8 threads=4 csv=1)
-    if [ "$out_a" != "$out_par" ]; then
-        echo "FAIL: torus threads=4 diverges from the serial kernel" >&2
-        exit 1
-    fi
     set +e
     "$sim" benchmark=freq topology=torus:8x8 escape_vcs=0 \
         >/dev/null 2>&1
@@ -155,8 +148,8 @@ run_torus_smoke() {
     fi
     "$sim" benchmark=freq mechanism=inpg topology=cmesh:4x4x4 \
         big_routers=4 csv=1 >/dev/null
-    echo "torus smoke OK: deterministic, serial==threads=4," \
-         "no-escape-VC rejected, cmesh completes"
+    echo "torus smoke OK: deterministic, no-escape-VC rejected," \
+         "cmesh completes"
 }
 
 # Experiment-ledger report smoke: two identical tiny configs must diff
@@ -278,8 +271,8 @@ echo "=== ci.sh stage 6: protocol model check ==="
 run_model_check
 
 echo "=== ci.sh stage 7: sanitizer suites ==="
-# ThreadSanitizer over the threaded surfaces first (parallel kernel
-# bit-identity suite, sweep pool, trace sink), then the full ASan/
+# ThreadSanitizer over the threaded surfaces first (sweep pool, trace
+# sink, determinism harness), then the full ASan/
 # UBSan tree. Both configure their own build dirs.
 "$repo_root/run_benches.sh" --tsan
 "$repo_root/run_benches.sh" --sanitize

@@ -13,8 +13,7 @@
  *   inpg_sim benchmark=kdtree dump_stats=1 mesh_width=4 mesh_height=4
  *   inpg_sim benchmark=freq topology=torus:8x8     # wraparound fabric
  *   inpg_sim benchmark=freq topology=cmesh:4x4x4   # 4 cores/router
- *   inpg_sim benchmark=freq topology=mesh:16x16 threads=4  # parallel
- *       kernel; bit-identical to threads=1 (src/sim/parallel)
+ *   inpg_sim benchmark=freq topology=mesh:16x16    # 256 cores
  *   inpg_sim config=myrun.cfg        # "key = value" lines
  *   inpg_sim benchmark=freq --trace-out=run.json   # Chrome trace
  *   inpg_sim benchmark=freq telemetry=lco --stats-json=stats.json
@@ -26,7 +25,9 @@
  *       --hang-report-out=hang.json   # exit 86 on detected no-progress
  *
  * GNU-style spellings are accepted for every key: "--trace-out=f"
- * means "trace_out=f". --stats-json collects one machine-readable
+ * means "trace_out=f". A key no option reads -- a misspelled flag, or
+ * one this tool does not have -- is rejected with exit status 1
+ * before anything runs, as is any other configuration error. --stats-json collects one machine-readable
  * snapshot (StatsRegistry + LCO attribution) per run under {"runs":
  * [...]}; --trace-out force-enables packet tracing and writes a
  * Perfetto-loadable Chrome trace of the (last) run.
@@ -156,7 +157,7 @@ runWithDump(const RunConfig &rc, bool dump)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config overrides;
     overrides.loadArgs(argc, argv);
@@ -191,6 +192,13 @@ main(int argc, char **argv)
         overrides.getString("hang_report_out", "");
     const std::string ledger_path =
         overrides.getString("ledger_out", "");
+    // num_locks=1 concentrates the profile's CS traffic on one lock,
+    // as the LCO figure benches do.
+    const bool set_num_locks = overrides.has("num_locks");
+    const int num_locks =
+        static_cast<int>(overrides.getInt("num_locks", 1));
+    // Every option has been read by now; anything left is a typo.
+    overrides.requireAllRead();
     std::unique_ptr<ExperimentLedger> ledger;
     if (!ledger_path.empty()) {
         ledger = std::make_unique<ExperimentLedger>(ledger_path);
@@ -225,10 +233,8 @@ main(int argc, char **argv)
     try {
         for (const auto &p : profiles) {
             rc.profile = p;
-            // num_locks=1 concentrates the profile's CS traffic on
-            // one lock, as the LCO figure benches do.
-            if (overrides.has("num_locks"))
-                rc.profile.numLocks = overrides.getInt("num_locks");
+            if (set_num_locks)
+                rc.profile.numLocks = num_locks;
             if (all_mechs) {
                 for (Mechanism m : ALL_MECHANISMS) {
                     rc.system.mechanism = m;
@@ -279,4 +285,15 @@ main(int argc, char **argv)
     else
         std::fputs(t.render().c_str(), stdout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        // fatal() already printed the message.
+        return 1;
+    }
 }

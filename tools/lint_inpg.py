@@ -37,12 +37,13 @@ Rules (numbered as DESIGN.md invariants 10-19):
   threading-outside-parallel (inv. 16)
       No std::thread / std::mutex / std::atomic /
       std::condition_variable (or their headers) outside
-      src/sim/parallel/ and src/harness/. Simulated components are
-      single-threaded by construction -- the parallel kernel's barrier
-      discipline is the only sanctioned cross-thread channel, and a
+      src/harness/. Simulated components are single-threaded by
+      construction -- a System lives on one host thread, and only the
+      harness's sweep runner fans whole Systems out across threads. A
       stray atomic in a component silently turns a determinism bug
       into a data race. Host-side infrastructure (the trace registry,
-      the recorder registry) must opt out per line.
+      the recorder registry, the ledger writer) must opt out per
+      line.
 
   coordinate-arithmetic (inv. 17)
       No arithmetic on meshWidth / meshHeight (or mesh_w / mesh_h
@@ -123,8 +124,8 @@ THREADING_RE = re.compile(
     r"|#include\s*<(?:thread|mutex|shared_mutex|atomic"
     r"|condition_variable)>")
 # Directories where host-side threading primitives are sanctioned:
-# the parallel kernel itself and the harness (sweep thread pool).
-THREADING_OK_DIRS = ("src/sim/parallel", "src/harness")
+# the harness (sweep thread pool) only.
+THREADING_OK_DIRS = ("src/harness",)
 
 # Grid-geometry identifiers whose arithmetic use marks coordinate
 # math: the NocConfig members and the conventional parameter
@@ -345,10 +346,9 @@ def check_threading_scope(files):
                 continue
             findings.append(Finding(
                 "threading-outside-parallel", path, ln,
-                "'%s' outside src/sim/parallel and src/harness: "
-                "simulated components are single-threaded; cross-"
-                "thread state belongs to the parallel kernel's barrier "
-                "discipline" % m.group(0).strip()))
+                "'%s' outside src/harness: simulated components are "
+                "single-threaded; only the sweep runner may fan whole "
+                "Systems out across threads" % m.group(0).strip()))
     return findings
 
 
@@ -587,19 +587,19 @@ def run_self_test():
         print("lint_inpg --self-test: ok: node containers outside "
               "src/noc are exempt")
 
-    # Threading primitives are legal inside the parallel kernel and
-    # the harness thread pool.
-    par = [(Path("src/sim/parallel/ok.hh"),
-            strip_comments("std::atomic<bool> stopFlag{false};\n")),
-           (Path("src/harness/ok.cc"),
-            strip_comments("std::thread worker;\n"))]
-    if check_threading_scope(par):
-        print("lint_inpg --self-test: MISSED: threading inside "
-              "src/sim/parallel and src/harness is exempt")
+    # Threading primitives are legal inside the harness thread pool
+    # only; the simulation kernel's directory gets no exemption.
+    pool = [(Path("src/harness/ok.cc"),
+             strip_comments("std::thread worker;\n"))]
+    kernel = [(Path("src/sim/parallel/bad.hh"),
+               strip_comments("std::atomic<bool> stopFlag{false};\n"))]
+    if check_threading_scope(pool) or not check_threading_scope(kernel):
+        print("lint_inpg --self-test: MISSED: threading is exempt "
+              "inside src/harness only")
         failures.add("threading-scope")
     else:
-        print("lint_inpg --self-test: ok: threading inside "
-              "src/sim/parallel and src/harness is exempt")
+        print("lint_inpg --self-test: ok: threading is exempt inside "
+              "src/harness only")
 
     # Coordinate math is legal inside the Topology layer itself (the
     # decomposition in topology.cc and routing.cc is the one sanctioned
