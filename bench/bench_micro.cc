@@ -6,19 +6,15 @@
  * wall-clock cost of the figure-level benches.
  *
  * `bench_micro --json [--out FILE] [--hotpath-out FILE]` instead runs
- * two A/B measurements and emits JSON:
+ * two measurements and emits JSON:
  *  - the kernel fast-forward A/B (one long-CS lock-contention workload
  *    with idle fast-forwarding off and on), written to --out;
- *  - the hot-path A/B (a busy TAS spin-contention workload that
- *    fast-forward cannot elide, run on the reference structures --
- *    binary-heap scheduler with boxed callbacks, node-based map
- *    containers, virtual per-flit route calls -- and again on the
- *    optimized ones: timing wheel + SBO callbacks, flat-hash tables,
- *    precomputed route tables), written to --hotpath-out, including
- *    events/sec, schedule-path heap-allocation counts, a
- *    per-subsystem wall-clock phase split, a fabric-comparison
- *    `topology` section (8x8 mesh vs torus vs cmesh:4x4x4 at equal
- *    core count).
+ *  - the hot-path run (a busy TAS spin-contention workload that
+ *    fast-forward cannot elide), written to --hotpath-out as
+ *    `runs.optimized`, including events/sec, schedule-path
+ *    heap-allocation counts, a per-subsystem wall-clock phase split
+ *    and a fabric-comparison `topology` section (8x8 mesh vs torus vs
+ *    cmesh:4x4x4 at equal core count).
  * The `perf-smoke` ctest target drives this mode.
  */
 
@@ -145,13 +141,15 @@ BM_PriorityArbiter(benchmark::State &state)
 {
     PriorityArbiter arb(8, 64);
     std::vector<PriorityArbiter::Request> reqs(8);
+    std::uint32_t valid = 0;
     Rng rng(3);
-    for (auto &r : reqs) {
-        r.valid = rng.chance(0.5);
-        r.priority = static_cast<int>(rng.nextBounded(9));
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        if (rng.chance(0.5))
+            valid |= 1u << i;
+        reqs[i].priority = static_cast<int>(rng.nextBounded(9));
     }
     for (auto _ : state)
-        benchmark::DoNotOptimize(arb.grant(reqs));
+        benchmark::DoNotOptimize(arb.grantMasked(valid, reqs.data()));
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PriorityArbiter);
@@ -326,7 +324,7 @@ printKernelJson(std::FILE *out, const KernelRunMetrics &off,
 
     std::fprintf(out, "{\n"
                       "  \"bench\": \"kernel_fast_forward\",\n");
-    emitMeta(out, "mesh=4x4 lock=qsl cs_scale=1.0 seed=1");
+    emitMeta(out, "topology=mesh:4x4 lock=qsl cs_scale=1.0 seed=1");
     std::fprintf(out, "  \"workload\": \"long_cs_contention\",\n"
                       "  \"mesh\": \"4x4\",\n"
                       "  \"lock\": \"qsl\",\n"
@@ -351,13 +349,13 @@ printKernelJson(std::FILE *out, const KernelRunMetrics &off,
 }
 
 // ---------------------------------------------------------------------
-// Hot-path A/B: busy TAS contention, reference vs optimized structures
+// Hot-path run: busy TAS contention
 // ---------------------------------------------------------------------
 
 /**
  * Process CPU time in nanoseconds: immune to other processes on a
- * loaded host, which wall clocks are not (the hotpath A/B compares
- * ~100 ms runs, well under typical scheduler noise).
+ * loaded host, which wall clocks are not (the hotpath runs last
+ * ~100 ms, well under typical scheduler noise).
  */
 double
 cpuNowNs()
@@ -407,14 +405,12 @@ busySpinProfile()
 }
 
 HotpathMetrics
-runHotpathWorkload(bool optimized, Simulator::HostPhaseProfile *profile,
-                   int mesh = 4)
+runHotpathWorkload(Simulator::HostPhaseProfile *profile, int mesh = 4)
 {
     SystemConfig cfg;
     cfg.noc.meshWidth = mesh;
     cfg.noc.meshHeight = mesh;
     cfg.lockKind = LockKind::Tas;
-    cfg.impl = optimized ? ImplMode::Fast : ImplMode::Reference;
     cfg.finalize();
 
     System system(cfg);
@@ -459,7 +455,7 @@ wallNowNs()
 /**
  * One busy-spin run on an arbitrary fabric (`topology=` spec string)
  * for the fabric-comparison section. Same workload class as the
- * hotpath A/B.
+ * hotpath run.
  */
 HotpathMetrics
 runFabricWorkload(const char *spec_text)
@@ -538,8 +534,7 @@ buildTopologyJson()
 }
 
 void
-printHotpathJson(std::FILE *out, const HotpathMetrics &ref,
-                 const HotpathMetrics &opt,
+printHotpathJson(std::FILE *out, const HotpathMetrics &opt,
                  const Simulator::HostPhaseProfile &phases,
                  const Simulator::HostPhaseProfile &phases8x8,
                  const std::string &topology_json)
@@ -570,10 +565,6 @@ printHotpathJson(std::FILE *out, const HotpathMetrics &ref,
                          m.scheduleHeapAllocs));
     };
 
-    const bool identical = ref.simCycles == opt.simCycles &&
-                           ref.roiCycles == opt.roiCycles &&
-                           ref.csCompleted == opt.csCompleted;
-    const double speedup = opt.cpuNs > 0 ? ref.cpuNs / opt.cpuNs : 0;
     auto emitSplit = [out](const char *label,
                            const Simulator::HostPhaseProfile &p,
                            const char *trailer) {
@@ -599,19 +590,13 @@ printHotpathJson(std::FILE *out, const HotpathMetrics &ref,
 
     std::fprintf(out, "{\n"
                       "  \"bench\": \"hotpath\",\n");
-    emitMeta(out, "mesh=4x4 lock=tas cs_scale=1.0 seed=1 reps=3");
+    emitMeta(out, "topology=mesh:4x4 lock=tas cs_scale=1.0 seed=1 reps=3");
     std::fprintf(out, "  \"workload\": \"busy_spin_contention\",\n"
                       "  \"mesh\": \"4x4\",\n"
                       "  \"lock\": \"tas\",\n"
                       "  \"runs\": {\n");
-    emitRun("reference", ref);
-    std::fprintf(out, ",\n");
     emitRun("optimized", opt);
-    std::fprintf(out,
-                 "\n  },\n"
-                 "  \"speedup\": %.2f,\n"
-                 "  \"bit_identical\": %s,\n",
-                 speedup, identical ? "true" : "false");
+    std::fprintf(out, "\n  },\n");
     emitSplit("phase_split_optimized", phases, ",");
     emitSplit("phase_split_optimized_8x8", phases8x8, ",");
     std::fputs(topology_json.c_str(), out);
@@ -621,48 +606,37 @@ printHotpathJson(std::FILE *out, const HotpathMetrics &ref,
 int
 runHotpathMode(const char *out_path)
 {
-    // Interleave repetitions and keep the best (minimum) wall time per
-    // flavor: host scheduling noise only ever slows a run down.
+    // Keep the best (minimum) time of REPS runs: host scheduling noise
+    // only ever slows a run down.
     constexpr int REPS = 3;
-    HotpathMetrics ref, opt;
+    HotpathMetrics opt;
     for (int r = 0; r < REPS; ++r) {
-        HotpathMetrics a = runHotpathWorkload(false, nullptr);
-        HotpathMetrics b = runHotpathWorkload(true, nullptr);
-        if (r == 0 || a.cpuNs < ref.cpuNs)
-            ref = a;
-        if (r == 0 || b.cpuNs < opt.cpuNs)
-            opt = b;
+        HotpathMetrics m = runHotpathWorkload(nullptr);
+        if (r == 0 || m.cpuNs < opt.cpuNs)
+            opt = m;
     }
     // Separate profiled passes (clock reads around every tick distort
-    // absolute time, so they are excluded from the A/B numbers). The
+    // absolute time, so they are excluded from the timed runs). The
     // 8x8 pass shows how the split shifts with mesh radix.
     Simulator::HostPhaseProfile phases;
-    runHotpathWorkload(true, &phases);
+    runHotpathWorkload(&phases);
     Simulator::HostPhaseProfile phases8x8;
-    runHotpathWorkload(true, &phases8x8, 8);
+    runHotpathWorkload(&phases8x8, 8);
 
     const std::string topology = buildTopologyJson();
 
-    printHotpathJson(stdout, ref, opt, phases, phases8x8, topology);
+    printHotpathJson(stdout, opt, phases, phases8x8, topology);
     if (out_path) {
         std::FILE *f = std::fopen(out_path, "w");
         if (!f) {
             std::fprintf(stderr, "cannot write %s\n", out_path);
             return 1;
         }
-        printHotpathJson(f, ref, opt, phases, phases8x8, topology);
+        printHotpathJson(f, opt, phases, phases8x8, topology);
         std::fclose(f);
     }
 
     int rc = 0;
-    if (!(ref.simCycles == opt.simCycles &&
-          ref.roiCycles == opt.roiCycles &&
-          ref.csCompleted == opt.csCompleted)) {
-        std::fprintf(
-            stderr,
-            "FAIL: optimized hot path changed simulated results\n");
-        rc = 1;
-    }
     if (opt.scheduleHeapAllocs != 0) {
         std::fprintf(stderr,
                      "FAIL: %llu heap allocations on the optimized "

@@ -32,8 +32,8 @@
  *   sync/      lock primitives (TAS/TTL/ABQL/MCS/QSL) + thread contexts
  *   workload/  PARSEC / SPEC OMP2012 benchmark profiles
  *   harness/   system builder (owns the Telemetry facade), mechanisms,
- *              experiment runner; SystemConfig::impl / ::telemetry are
- *              the two public configuration switches
+ *              experiment runner; SystemConfig::telemetry is the
+ *              public instrumentation switch
  */
 
 #ifndef INPG_INPG_HH

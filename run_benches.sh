@@ -78,18 +78,15 @@ if [ "$1" = "--quick" ]; then
         --out "$repo_root"/build/BENCH_kernel.json \
         --hotpath-out "$repo_root"/build/BENCH_hotpath.json
     # Gate before refreshing the committed copy: the fresh hotpath
-    # numbers must be bit-identical and within 5% of the committed
-    # baseline's optimized events/sec. Catches silent perf regressions
-    # (and any fast/reference divergence) at bench time, not review
-    # time.
+    # events/sec must be within 5% of the committed baseline's.
+    # Catches silent perf regressions at bench time, not review time.
+    # Simulated results are gated bit-exactly by the golden
+    # fingerprints (ctest) and the ledger regress below.
     python3 - "$repo_root"/BENCH_hotpath.json \
         "$repo_root"/build/BENCH_hotpath.json <<'EOF'
 import json, sys
 old_path, new_path = sys.argv[1], sys.argv[2]
 new = json.load(open(new_path))
-if new.get("bit_identical") is not True:
-    sys.exit("FAIL: BENCH_hotpath.json has bit_identical: false -- "
-             "the optimized hot path changed simulated results")
 try:
     old = json.load(open(old_path))
 except FileNotFoundError:

@@ -32,15 +32,6 @@ struct CohConfig {
     int numNodes = 64;
 
     /**
-     * Use the open-addressing FlatHashMap for the directory and L1
-     * line tables instead of the node-based std:: containers. Both
-     * produce bit-identical simulations (protocol code never iterates
-     * these maps); the std:: path is kept as the differential-testing
-     * and benchmarking reference.
-     */
-    bool flatContainers = true;
-
-    /**
      * Test-only hang seeder: when non-zero, every directory silently
      * drops the N-th message it sends (counting from 1, counted per
      * directory, deterministically). The lost response wedges the

@@ -58,18 +58,13 @@ Directory::tickName() const
 Directory::DirEntry &
 Directory::entryFor(Addr line)
 {
-    if (cfg.flatContainers)
-        return entriesFlat[line];
-    return entriesRef[line];
+    return entries[line];
 }
 
 const Directory::DirEntry *
 Directory::findEntry(Addr line) const
 {
-    if (cfg.flatContainers)
-        return entriesFlat.find(line);
-    auto it = entriesRef.find(line);
-    return it == entriesRef.end() ? nullptr : &it->second;
+    return entries.find(line);
 }
 
 const Directory::DirEntry *

@@ -14,7 +14,6 @@
 #define INPG_COH_DIRECTORY_HH
 
 #include <deque>
-#include <map>
 #include <set>
 
 #include "coh/coh_config.hh"
@@ -124,13 +123,8 @@ class Directory : public Ticking
     /** Find the entry for a line-aligned address; nullptr if absent. */
     const DirEntry *findEntry(Addr line) const;
 
-    /**
-     * Line table: `entriesFlat` when cfg.flatContainers (the fast
-     * path), `entriesRef` otherwise (reference for differential
-     * testing). Only one is ever populated.
-     */
-    FlatHashMap<Addr, DirEntry> entriesFlat;
-    std::map<Addr, DirEntry> entriesRef;
+    /** Line table (protocol code never iterates it). */
+    FlatHashMap<Addr, DirEntry> entries;
     std::deque<CohMsgPtr> queue;
 
     /** Cached hot stat handles (string lookup once at construction). */

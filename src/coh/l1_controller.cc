@@ -86,20 +86,13 @@ L1Controller::L1Controller(CoreId core_id, NodeId node_id,
 L1Controller::Line &
 L1Controller::line(Addr addr)
 {
-    const Addr base = cfg.lineBase(addr);
-    if (cfg.flatContainers)
-        return linesFlat[base];
-    return linesRef[base];
+    return lines[cfg.lineBase(addr)];
 }
 
 const L1Controller::Line *
 L1Controller::findLine(Addr addr) const
 {
-    const Addr base = cfg.lineBase(addr);
-    if (cfg.flatContainers)
-        return linesFlat.find(base);
-    auto it = linesRef.find(base);
-    return it == linesRef.end() ? nullptr : &it->second;
+    return lines.find(cfg.lineBase(addr));
 }
 
 L1State

@@ -20,7 +20,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 
 #include "coh/coh_config.hh"
 #include "coh/coh_stats.hh"
@@ -248,13 +247,8 @@ class L1Controller
     SampleStat *writeLatencySample = nullptr;
     SampleStat *lockRmwLatencySample = nullptr;
 
-    /**
-     * Line table: `linesFlat` when cfg.flatContainers (the fast path),
-     * `linesRef` otherwise (reference for differential testing). Only
-     * one is ever populated.
-     */
-    FlatHashMap<Addr, Line> linesFlat;
-    std::unordered_map<Addr, Line> linesRef;
+    /** Line table (protocol code never iterates it). */
+    FlatHashMap<Addr, Line> lines;
     std::optional<Pending> pending;
     std::deque<CohMsgPtr> deferredForwards;
     int nextPriority = 0;

@@ -141,8 +141,8 @@ RunRecord
 makeRunRecord(const RunConfig &cfg, const RunResult &r)
 {
     // Re-finalize a copy so derived fields (core count, big-router
-    // count when iNPG is off, INPG_IMPL override, thread clamp) match
-    // what runBenchmark() actually simulated.
+    // count when iNPG is off) match what runBenchmark() actually
+    // simulated.
     SystemConfig sys = cfg.system;
     sys.mechanism = r.mechanism; // runAllMechanisms varies it per run
     sys.lockKind = r.lockKind;
@@ -164,7 +164,6 @@ makeRunRecord(const RunConfig &cfg, const RunResult &r)
     spec.height = sys.noc.meshHeight;
     spec.concentration = sys.noc.concentration;
     rec.topology = spec.canonical();
-    rec.impl = sys.impl == ImplMode::Fast ? "fast" : "reference";
     rec.cores = sys.numCores();
     rec.bigRouters = sys.inpg.numBigRouters;
     rec.seed = sys.seed;

@@ -23,9 +23,6 @@ System::System(SystemConfig config) : cfg(std::move(config))
             fatal("topology rejected: %s",
                   diags.front().toString().c_str());
     }
-    // The queue mode must flip before any component can schedule.
-    if (cfg.impl == ImplMode::Reference)
-        kernel.events().setReferenceMode(true);
     if (cfg.telemetry.any()) {
         telem = std::make_unique<Telemetry>(cfg.telemetry,
                                             cfg.numCores());

@@ -10,18 +10,6 @@
 
 namespace inpg {
 
-ImplMode
-parseImplMode(const std::string &name)
-{
-    std::string n = toLower(trim(name));
-    if (n == "fast" || n == "optimized")
-        return ImplMode::Fast;
-    if (n == "reference" || n == "ref")
-        return ImplMode::Reference;
-    fatal("unknown implementation mode '%s' (fast|reference)",
-          name.c_str());
-}
-
 Mechanism
 parseMechanism(const std::string &name)
 {
@@ -65,6 +53,16 @@ SystemConfig::finalize()
     if (noc.topology != TopologyKind::CMesh && noc.concentration != 1)
         fatal("concentration %d requires topology=cmesh",
               noc.concentration);
+    // The router keeps one 32-bit candidate word per port (bit == VC).
+    if (noc.vcsPerVnet < 1)
+        fatal("vcs_per_vnet must be >= 1 (got %d)", noc.vcsPerVnet);
+    if (noc.totalVcs() > 32) {
+        fatal("%d vnets x %d vcs_per_vnet = %d VCs per port; at most 32 "
+              "are supported",
+              noc.numVnets, noc.vcsPerVnet, noc.totalVcs());
+    }
+    if (noc.vcDepth < 1)
+        fatal("vc_depth must be >= 1 flit (got %d)", noc.vcDepth);
     if (noc.topology == TopologyKind::Torus && noc.escapeVcs &&
         (noc.vcsPerVnet < 2 || noc.vcsPerVnet % 2 != 0)) {
         fatal("torus escape VCs need an even vcs_per_vnet >= 2 (got %d) "
@@ -77,27 +75,6 @@ SystemConfig::finalize()
     // router-grid sites, so the clamp is against numRouters.
     if (inpg.numBigRouters > noc.numRouters())
         inpg.numBigRouters = noc.numRouters();
-
-    // One switch for every host-side data-structure flavor. The
-    // environment wins over programmatic configuration; an explicit
-    // env value forces all per-structure toggles so a whole sweep can
-    // be flipped without touching code. Without the env, Fast (the
-    // default) leaves hand-set toggles alone -- the determinism A/B
-    // tests drive the individual flags directly -- while Reference
-    // forces every structure onto the reference path.
-    if (const char *env = std::getenv("INPG_IMPL")) {
-        impl = parseImplMode(env);
-        const bool fast = impl == ImplMode::Fast;
-        noc.precomputeRoutes = fast;
-        noc.fastAllocScan = fast;
-        noc.soaVcState = fast;
-        coh.flatContainers = fast;
-    } else if (impl == ImplMode::Reference) {
-        noc.precomputeRoutes = false;
-        noc.fastAllocScan = false;
-        noc.soaVcState = false;
-        coh.flatContainers = false;
-    }
     if (const char *env = std::getenv("INPG_TELEMETRY"))
         telemetry.applySpec(env);
 }
@@ -114,26 +91,6 @@ SystemConfig::applyOverrides(const Config &cfg)
         if (const char *spec = lookupTopologyPreset(t))
             t = spec;
         TopologySpec::parse(t).applyTo(noc);
-    }
-    // "mesh=WxH" is the deprecated spelling of topology=mesh:WxH; keep
-    // it working (a lot of scripts use it) but nudge toward the new
-    // key. Explicit mesh_width/mesh_height still win.
-    if (cfg.has("mesh")) {
-        std::string m = toLower(cfg.getString("mesh"));
-        std::size_t x = m.find('x');
-        int w = 0, h = 0;
-        if (x != std::string::npos) {
-            w = std::atoi(m.substr(0, x).c_str());
-            h = std::atoi(m.substr(x + 1).c_str());
-        }
-        if (w < 1 || h < 1)
-            fatal("bad mesh '%s' (want WxH, e.g. 16x16)", m.c_str());
-        warn("mesh=%s is deprecated; use topology=mesh:%dx%d", m.c_str(),
-             w, h);
-        noc.topology = TopologyKind::Mesh;
-        noc.concentration = 1;
-        noc.meshWidth = w;
-        noc.meshHeight = h;
     }
     noc.meshWidth = static_cast<int>(
         cfg.getInt("mesh_width", noc.meshWidth));
@@ -183,14 +140,6 @@ SystemConfig::applyOverrides(const Config &cfg)
         mechanism = parseMechanism(cfg.getString("mechanism"));
     if (cfg.has("lock"))
         lockKind = parseLockKind(cfg.getString("lock"));
-    if (cfg.has("impl")) {
-        impl = parseImplMode(cfg.getString("impl"));
-        const bool fast = impl == ImplMode::Fast;
-        noc.precomputeRoutes = fast;
-        noc.fastAllocScan = fast;
-        noc.soaVcState = fast;
-        coh.flatContainers = fast;
-    }
     if (cfg.has("telemetry"))
         telemetry.applySpec(cfg.getString("telemetry"));
     // Diagnosis-layer knobs. A non-zero window/epoch enables the

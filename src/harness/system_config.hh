@@ -19,18 +19,6 @@
 
 namespace inpg {
 
-/**
- * Host-side implementation flavor: one switch for every fast/reference
- * data-structure toggle (timing-wheel vs heap event queue, flat-hash
- * vs tree containers, precomputed vs per-flit routes, mask-driven vs
- * full-scan allocation). Both flavors are bit-identical in simulated
- * results; Reference exists for determinism A/B tests and debugging.
- */
-enum class ImplMode {
-    Fast,
-    Reference,
-};
-
 /** Everything needed to build one simulated system. */
 struct SystemConfig {
     NocConfig noc;   ///< mesh, VCs, router pipeline
@@ -41,15 +29,6 @@ struct SystemConfig {
     Mechanism mechanism = Mechanism::Original;
     LockKind lockKind = LockKind::Qsl;
 
-    /**
-     * Implementation flavor; finalize() fans it out to the individual
-     * toggles (and System selects the event-queue mode from it). The
-     * INPG_IMPL environment variable ("fast"/"reference") overrides.
-     * Fast is the default and leaves hand-set toggles untouched, so
-     * A/B tests can still drive the per-structure flags directly.
-     */
-    ImplMode impl = ImplMode::Fast;
-
     TelemetryConfig telemetry; ///< instrumentation; all off by default
 
     std::uint64_t seed = 1;
@@ -57,38 +36,20 @@ struct SystemConfig {
     /**
      * Normalize derived fields: the coherence layer's node count, the
      * NoC switch policy + sync OCOR flag from the mechanism, and the
-     * big-router count when iNPG is off.
+     * big-router count when iNPG is off. Fatal on a VC geometry the
+     * router cannot hold (at most 32 VCs per port, each at least one
+     * flit deep).
      */
     void finalize();
 
-    /** Apply "key=value" overrides (mesh, mechanism, lock, ...). */
+    /** Apply "key=value" overrides (topology, mechanism, lock, ...). */
     void applyOverrides(const Config &cfg);
 
     /** Table 1-style multi-line description. */
     std::string describe() const;
 
     int numCores() const { return noc.numNodes(); }
-
-    /**
-     * @deprecated Set `impl` instead. Shim over the pre-`impl` era of
-     * scattered toggles (NocConfig::precomputeRoutes/fastAllocScan,
-     * CohConfig::flatContainers); the fields themselves also remain
-     * writable for the determinism A/B tests.
-     */
-    [[deprecated("set SystemConfig::impl instead")]]
-    void
-    setFastStructures(bool fast)
-    {
-        impl = fast ? ImplMode::Fast : ImplMode::Reference;
-        noc.precomputeRoutes = fast;
-        noc.fastAllocScan = fast;
-        noc.soaVcState = fast;
-        coh.flatContainers = fast;
-    }
 };
-
-/** Parse an implementation flavor name ("fast" / "reference"). */
-ImplMode parseImplMode(const std::string &name);
 
 /** Parse a mechanism name ("original", "ocor", "inpg", "inpg+ocor"). */
 Mechanism parseMechanism(const std::string &name);

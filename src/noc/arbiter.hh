@@ -11,8 +11,8 @@
 #ifndef INPG_NOC_ARBITER_HH
 #define INPG_NOC_ARBITER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -25,19 +25,12 @@ class RoundRobinArbiter
     explicit RoundRobinArbiter(std::size_t size);
 
     /**
-     * Grant one of the requesting inputs.
+     * Grant one of the requesting inputs: the first set bit at or
+     * after the pointer, wrapping around. The granted input becomes
+     * the lowest priority for the next call.
      *
-     * @param requests one bool per input; at least one must be true for
-     *                 a grant to happen.
+     * @param requests bit i set when input i requests.
      * @return granted index, or -1 if nothing requested.
-     */
-    int grant(const std::vector<bool> &requests);
-
-    /**
-     * Same policy and pointer evolution as grant(), with the request
-     * set as a bitmask (bit i == requests[i]). The two entry points
-     * are interchangeable call to call: identical requests yield the
-     * identical grant and leave the arbiter in the identical state.
      */
     int grantMask(std::uint32_t requests);
 
@@ -63,21 +56,18 @@ class PriorityArbiter
      */
     PriorityArbiter(std::size_t size, Cycle aging_quantum);
 
+    /** Priority and age of one requester. */
     struct Request {
-        bool valid = false;
         int priority = 0;
         Cycle age = 0;
     };
 
-    /** Grant the best request; -1 if none valid. */
-    int grant(const std::vector<Request> &requests);
-
     /**
-     * Mask-based equivalent of grant(): `valid` holds the requesting
-     * indices; `requests` supplies priority/age for set bits and may
-     * be nullptr when every requester has default priority (all-equal
-     * priorities reduce to the round-robin tie break). State evolution
-     * matches grant() on the same request set.
+     * Grant the best request; -1 if none valid. `valid` holds the
+     * requesting indices; `requests` supplies priority/age for set
+     * bits and may be nullptr when every requester has default
+     * priority (all-equal priorities reduce to the round-robin tie
+     * break).
      */
     int grantMasked(std::uint32_t valid, const Request *requests);
 
@@ -87,8 +77,6 @@ class PriorityArbiter
   private:
     RoundRobinArbiter tieBreak;
     Cycle agingQuantum;
-    /** Scratch mask reused across grant() calls (no allocation). */
-    std::vector<bool> scratchMask;
 };
 
 } // namespace inpg

@@ -87,37 +87,6 @@ struct NocConfig {
     /** Cycles of waiting per +1 effective priority under Priority. */
     Cycle agingQuantum = 64;
 
-    /**
-     * Build a per-router destination -> output-port table at
-     * construction so the RC stage is one array index instead of a
-     * virtual routing-algorithm call per flit. Identical decisions
-     * either way (the table is filled by the same algorithm); kept
-     * switchable for A/B benchmarking.
-     */
-    bool precomputeRoutes = true;
-
-    /**
-     * Drive the allocation stages (VA, SA-I/SA-II, NI injection) off
-     * per-port candidate bitmasks instead of scanning every VC slot
-     * each cycle, and use cached stat handles on the per-flit paths.
-     * The masks are maintained on every state transition regardless of
-     * this flag; it only selects the scan strategy, so both settings
-     * make identical allocation decisions. Kept switchable so A/B
-     * benchmark runs can reproduce the straightforward scan loops.
-     */
-    bool fastAllocScan = true;
-
-    /**
-     * Store router input-VC state as one structure-of-arrays block per
-     * router (flat state/outPort/outVc/headAt arrays plus whole-router
-     * candidate bitmasks and pooled ring-buffer flit storage) instead
-     * of object-per-VC InputUnits. Same decisions and arbiter-state
-     * evolution as the reference layout -- only the memory layout and
-     * scan mechanics change. Routers whose port x VC product exceeds
-     * the 64-bit mask budget silently fall back to the object layout.
-     */
-    bool soaVcState = true;
-
     int totalVcs() const { return numVnets * vcsPerVnet; }
 
     /** First VC index belonging to a vnet. */

@@ -27,7 +27,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "noc/arbiter.hh"
-#include "noc/input_unit.hh"
 #include "noc/link.hh"
 #include "noc/noc_config.hh"
 #include "noc/output_unit.hh"
@@ -158,39 +157,10 @@ class Router : public Ticking
     void drainCredits(Cycle now);
     void drainFlits(Cycle now);
     bool canSleep() const;
-    void routeCompute(const FlitPtr &flit, VirtualChannel &ch);
     void allocateVcs(Cycle now);
     void allocateSwitch(Cycle now);
-    // Bitmask-driven variants of the allocation stages, selected by
-    // cfg.fastAllocScan. Same decisions and arbiter-state evolution as
-    // the scan loops; they only skip slots the masks prove empty.
-    void allocateVcsFast(Cycle now);
-    void allocateSwitchFast(Cycle now);
-    /** One VA attempt for a routed VC; shared by both VA variants. */
-    void tryAllocateVc(InputUnit &iu, VcId v, Cycle now);
-
-    // Structure-of-arrays variants, selected by cfg.soaVcState (see
-    // VcStateArray). Same decisions and arbiter-state evolution as the
-    // object-layout stages; only the storage the sweeps walk differs.
-    void allocateVcsSoA(Cycle now);
-    void allocateSwitchSoA(Cycle now);
-    void tryAllocateVcSoA(int port, VcId v, Cycle now);
-    void switchTraverseSoA(int inport, VcId v, int outport, Cycle now);
-
-    /**
-     * Layout-independent view of one input VC, shared by debugJson and
-     * any external occupancy probe so both layouts report byte-identical
-     * diagnosis output. `state` uses the VcStateArray encoding.
-     */
-    struct VcSnapshot {
-        std::uint8_t state;
-        std::size_t occupancy;
-        Direction outPort;
-        std::uint8_t outClass;
-        VcId outVc;
-        Cycle headAt;
-    };
-    VcSnapshot vcSnapshot(int port, VcId v) const;
+    /** One VA attempt for input VC (port, v): route compute + VA. */
+    void tryAllocateVc(int port, VcId v, Cycle now);
 
     /** Output-VC search range for a routed VC's vnet + dateline class. */
     std::pair<VcId, VcId>
@@ -216,30 +186,21 @@ class Router : public Ticking
 
     NodeId id;
     NocConfig cfg;
-    const RoutingAlgorithm *router;
 
     /**
      * Destination-indexed route table (output port + dateline VC
-     * class; filled by the topology's routing algorithm at
-     * construction when cfg.precomputeRoutes, empty otherwise --
-     * falling back to the virtual routeEntry() call). iNPG destination
-     * rewrites happen in onHeadFlitArrived, before route computation,
-     * so a static table stays correct.
+     * class), filled by the topology's routing algorithm at
+     * construction. iNPG destination rewrites happen in
+     * onHeadFlitArrived, before route computation, so a static table
+     * stays correct.
      */
     std::vector<RouteEntry> routeTable;
 
     /**
-     * Object-per-VC input units (reference layout). Empty when the SoA
-     * layout is active -- exactly one of `inputs` / `soa` holds the VC
-     * state.
+     * Input-VC state of every port, sized at construction for the
+     * generator port too (NUM_PORTS + 1).
      */
-    std::vector<std::unique_ptr<InputUnit>> inputs;
-
-    /**
-     * Structure-of-arrays VC state (cfg.soaVcState and the port x VC
-     * product fits the 64-bit masks); null in the reference layout.
-     */
-    std::unique_ptr<VcStateArray> soa;
+    VcStateArray inVcs;
 
     std::array<std::unique_ptr<OutputUnit>, NUM_PORTS> outputs;
 

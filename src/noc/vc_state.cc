@@ -11,13 +11,12 @@ VcStateArray::VcStateArray(int num_ports, int num_vcs, int vc_depth)
     INPG_ASSERT(num_ports > 0 && num_vcs > 0 && vc_depth > 0,
                 "bad VC array shape: %d ports x %d VCs x depth %d",
                 num_ports, num_vcs, vc_depth);
-    INPG_ASSERT(fits(num_ports, num_vcs),
-                "%d ports x %d VCs exceeds the 64-slot mask budget",
+    INPG_ASSERT(num_ports <= 32 && num_vcs <= 32,
+                "%d ports x %d VCs exceeds the 32-bit mask words",
                 num_ports, num_vcs);
     const std::size_t slots = static_cast<std::size_t>(num_ports) *
                               static_cast<std::size_t>(num_vcs);
     capPerVc = std::bit_ceil(static_cast<std::size_t>(vc_depth));
-    portAll = num_vcs >= 32 ? ~0u : (1u << num_vcs) - 1u;
 
     state.assign(slots, Idle);
     outPort.assign(slots, Direction::Local);

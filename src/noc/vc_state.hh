@@ -1,17 +1,11 @@
 /**
  * @file
- * Structure-of-arrays VC state for the router's Fast-mode hot path.
+ * Structure-of-arrays VC state: the router's input-VC store.
  *
- * The reference layout is one InputUnit object per port, each holding a
- * vector of VirtualChannel structs whose flit buffer, FSM state and
- * routing fields live together. That shape is easy to read but hostile
- * to the per-cycle pipeline sweeps: VA/SA touch one or two fields of
- * many VCs, so every probe drags a whole VirtualChannel (plus its
- * buffer header) through the cache, and per-port candidate masks still
- * require a pointer chase per port.
- *
- * VcStateArray flattens the entire router -- all ports, all VCs -- into
- * parallel arrays indexed by slot = port * numVcs + vc:
+ * VC allocation and switch allocation touch one or two fields of many
+ * VCs per cycle, so VcStateArray flattens the entire router -- all
+ * ports, all VCs -- into parallel arrays indexed by
+ * slot = port * numVcs + vc:
  *
  *   state[]   1 byte per slot (Idle / WaitVc / Active)
  *   outPort[] routed output port (valid in WaitVc+)
@@ -23,23 +17,21 @@
  * head/count counters. Buffering a flit is an index store; popping is
  * an index move -- no deque nodes, no per-VC allocation, ever.
  *
- * Candidate tracking is three whole-router packed bitmasks (bit ==
- * slot): pendingMask (Idle VCs holding a head flit), waitMask (WaitVc)
- * and activeMask (Active VCs holding a flit). A pipeline stage tests
- * one 64-bit word to know whether the entire router has work, and
- * extracts a per-port slice with a shift when it does. The mask
- * lifecycle mirrors InputUnit::refreshMask exactly, so Fast and
- * Reference modes make bit-identical allocation decisions.
+ * Candidate tracking is two 32-bit words per port (bit == VC index):
+ * VA candidates (Idle VCs holding a head flit, i.e. route-compute
+ * work, and WaitVc VCs) and SA candidates (Active VCs holding a flit).
+ * Two summary words (bit == port) record which ports have any VA or SA
+ * candidate, so a pipeline stage tests one word to know whether the
+ * entire router has work.
  *
- * Capacity: numPorts * numVcs must fit the 64-bit masks. The standard
- * configuration (5 mesh ports + 1 generator port, 8 VCs) uses 48 bits;
- * Router falls back to the reference layout when a configuration
- * exceeds 64 slots.
+ * Capacity: at most 32 VCs per port (one mask word) and 32 ports (one
+ * summary word); SystemConfig::finalize() rejects wider VC geometries.
  */
 
 #ifndef INPG_NOC_VC_STATE_HH
 #define INPG_NOC_VC_STATE_HH
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -55,7 +47,7 @@ namespace inpg {
 class VcStateArray
 {
   public:
-    /** VC FSM states; values match VirtualChannel::State semantics. */
+    /** VC FSM states. */
     enum : std::uint8_t {
         Idle = 0,   ///< no packet resident
         WaitVc = 1, ///< head buffered & routed; waiting for an output VC
@@ -63,13 +55,6 @@ class VcStateArray
     };
 
     VcStateArray(int num_ports, int num_vcs, int vc_depth);
-
-    /** True when the configuration fits the 64-bit whole-router masks. */
-    static bool
-    fits(int num_ports, int num_vcs)
-    {
-        return num_ports * num_vcs <= 64;
-    }
 
     int numPorts() const { return ports; }
     int numVcs() const { return vcsPerPort; }
@@ -104,11 +89,14 @@ class VcStateArray
     {
         INPG_ASSERT(flit->vc >= 0 && flit->vc < vcsPerPort,
                     "flit arrived on bad VC %d", flit->vc);
-        const std::size_t s = slot(port, flit->vc);
+        const VcId flit_vc = flit->vc;
+        const std::size_t s = slot(port, flit_vc);
         INPG_ASSERT(count[s] < static_cast<std::uint32_t>(depth),
                     "VC %d overflow (credit protocol violated)", flit->vc);
-        // Back-to-back packets may share a VC buffer; a flit landing in
-        // an idle, empty VC must start a packet (same as InputUnit).
+        // Back-to-back packets may share a VC buffer (the upstream
+        // output VC is released when the tail is sent); only the front
+        // packet drives the VC state machine. A flit landing in an
+        // idle, empty VC must start a packet.
         if (state[s] == Idle && count[s] == 0) {
             INPG_ASSERT(isHeadFlit(flit->type),
                         "body flit into idle empty VC %d", flit->vc);
@@ -119,13 +107,14 @@ class VcStateArray
         store[idx] = std::move(flit);
         ++count[s];
         ++occupancy;
-        refreshMask(s);
+        refreshMask(port, flit_vc);
     }
 
-    /** Pop the head flit of a slot (switch traversal). */
+    /** Pop the head flit of (port, vc) (switch traversal). */
     FlitPtr
-    popFlit(std::size_t s)
+    popFlit(int port, VcId vc)
     {
+        const std::size_t s = slot(port, vc);
         INPG_ASSERT(count[s] > 0, "pop from empty VC slot %zu", s);
         FlitPtr flit = std::move(store[s * capPerVc + head[s]]);
         head[s] =
@@ -133,7 +122,7 @@ class VcStateArray
         --count[s];
         INPG_ASSERT(occupancy > 0, "router occupancy underflow");
         --occupancy;
-        refreshMask(s);
+        refreshMask(port, vc);
         return flit;
     }
 
@@ -145,32 +134,26 @@ class VcStateArray
     std::vector<VcId> outVc;
     std::vector<Cycle> headAt;
 
-    // ----- whole-router candidate masks (bit == slot) -----
+    // ----- candidate masks -----
 
-    /** Idle VCs holding a (head) flit: need route computation. */
-    std::uint64_t pendingMask = 0;
+    /** Ports with a VA candidate (route compute or output-VC wait). */
+    std::uint32_t vaPorts() const { return vaPortMask; }
 
-    /** VCs in WaitVc: routed, waiting for an output VC. */
-    std::uint64_t waitMask = 0;
+    /** Ports with an SA candidate (Active VC holding a flit). */
+    std::uint32_t saPorts() const { return saPortMask; }
 
-    /** Active VCs holding a flit: switch-allocation candidates. */
-    std::uint64_t activeMask = 0;
-
-    /** VA candidates (route-compute or output-VC wait), whole router. */
-    std::uint64_t vaMask() const { return pendingMask | waitMask; }
-
-    /** Per-port VA candidate slice (bit == VC index within the port). */
+    /** Per-port VA candidates (bit == VC index within the port). */
     std::uint32_t
     vaCandidates(int port) const
     {
-        return portSlice(vaMask(), port);
+        return vaWords[static_cast<std::size_t>(port)];
     }
 
-    /** Per-port SA-I candidate slice (bit == VC index). */
+    /** Per-port SA-I candidates (bit == VC index). */
     std::uint32_t
     saCandidates(int port) const
     {
-        return portSlice(activeMask, port);
+        return saWords[static_cast<std::size_t>(port)];
     }
 
     /** Flits buffered across the whole router. */
@@ -180,47 +163,36 @@ class VcStateArray
     std::size_t portOccupancy(int port) const;
 
     /**
-     * Re-derive a slot's candidate-mask bits from its state and buffer
-     * occupancy. Must run after every state transition or buffer
-     * push/pop; receiveFlit/popFlit do so themselves, the router calls
-     * it after writing state[] directly -- the same discipline as
-     * InputUnit::refreshMask.
+     * Re-derive the candidate bits of (port, vc) from its state and
+     * buffer occupancy. Must run after every buffer push/pop and every
+     * state transition that can change those bits; receiveFlit/popFlit
+     * do so themselves, the router calls it after writing state[]
+     * directly.
      */
     void
-    refreshMask(std::size_t s)
+    refreshMask(int port, VcId vc)
     {
-        const std::uint64_t bit = 1ull << s;
-        pendingMask &= ~bit;
-        waitMask &= ~bit;
-        activeMask &= ~bit;
-        switch (state[s]) {
-          case Idle:
-            if (count[s] != 0)
-                pendingMask |= bit;
-            break;
-          case WaitVc:
-            waitMask |= bit;
-            break;
-          case Active:
-            if (count[s] != 0)
-                activeMask |= bit;
-            break;
-          default:
-            INPG_ASSERT(false, "corrupt VC state %u at slot %zu",
-                        state[s], s);
-        }
+        // Callers hold a (port, vc) that slot() has already checked.
+        const auto p = static_cast<std::size_t>(port);
+        const std::size_t s = p * static_cast<std::size_t>(vcsPerPort) +
+                              static_cast<std::size_t>(vc);
+        const std::uint8_t st = state[s];
+        INPG_ASSERT(st <= Active, "corrupt VC state %u at slot %zu", st, s);
+        const bool has_flit = count[s] != 0;
+        const std::uint32_t bit = 1u << static_cast<std::uint32_t>(vc);
+        const std::uint32_t va =
+            (vaWords[p] & ~bit) |
+            (st == WaitVc || (st == Idle && has_flit) ? bit : 0u);
+        const std::uint32_t sa =
+            (saWords[p] & ~bit) | (st == Active && has_flit ? bit : 0u);
+        vaWords[p] = va;
+        saWords[p] = sa;
+        const std::uint32_t pbit = 1u << static_cast<std::uint32_t>(port);
+        vaPortMask = (vaPortMask & ~pbit) | (va ? pbit : 0u);
+        saPortMask = (saPortMask & ~pbit) | (sa ? pbit : 0u);
     }
 
   private:
-    std::uint32_t
-    portSlice(std::uint64_t mask, int port) const
-    {
-        return static_cast<std::uint32_t>(
-            (mask >> (static_cast<std::size_t>(port) *
-                      static_cast<std::size_t>(vcsPerPort))) &
-            portAll);
-    }
-
     int ports;
     int vcsPerPort;
     int depth;
@@ -228,8 +200,17 @@ class VcStateArray
     /** Ring capacity per VC: vcDepth rounded up to a power of two. */
     std::size_t capPerVc;
 
-    /** All-ones mask over one port's VC indices. */
-    std::uint32_t portAll;
+    /**
+     * Per-port candidate words (bit == VC index), sized for the 32
+     * ports one summary word can name. Inline arrays, not vectors, so
+     * the per-flit refresh and the per-cycle probes skip a pointer load.
+     */
+    std::array<std::uint32_t, 32> vaWords{}; ///< Idle w/ head flit, WaitVc
+    std::array<std::uint32_t, 32> saWords{}; ///< Active VCs holding a flit
+
+    /** Summary words (bit == port) over the per-port words. */
+    std::uint32_t vaPortMask = 0;
+    std::uint32_t saPortMask = 0;
 
     /** Pooled flit arena: slot s owns store[s*capPerVc .. +capPerVc). */
     std::vector<FlitPtr> store;

@@ -16,16 +16,6 @@ EventQueue::schedule(Cycle when, Callback fn)
     if (!fn.isInline())
         ++statHeapAllocs;
 
-    if (refMode) {
-        ++statHeapAllocs; // the reference design boxes every callback
-        refHeap.push_back(
-            RefEntry{when, nextSeq++,
-                     std::make_unique<Callback>(std::move(fn))});
-        std::push_heap(refHeap.begin(), refHeap.end(), RefLater{});
-        ++count;
-        return;
-    }
-
     // Components may legally schedule "at now" from the tick phase,
     // after runDue(now) already advanced wheelBase to now + 1.
     INPG_ASSERT(when + 1 >= wheelBase, "scheduling into the past");
@@ -97,8 +87,6 @@ EventQueue::nextEventCycle() const
 {
     if (count == 0)
         return CYCLE_NEVER;
-    if (refMode)
-        return refHeap.front().when;
     if (!stale.empty())
         return stale.front().when;
     const Cycle wheelNext = wheelNextCycle();
@@ -111,7 +99,7 @@ void
 EventQueue::promoteOverflow()
 {
     // Pop in (when, seq) order so promoted entries land in their bucket
-    // in exactly the order the reference heap would drain them. Any
+    // in exactly the order a (when, seq) min-heap would drain them. Any
     // direct schedule() into that bucket can only happen after the
     // cycle entered the window -- i.e. after this promotion -- so it
     // carries a higher seq and correctly sorts behind.
@@ -152,11 +140,6 @@ EventQueue::drainStale()
 void
 EventQueue::runDue(Cycle now)
 {
-    if (refMode) {
-        runDueReference(now);
-        return;
-    }
-
     drainStale();
 
     while (count > 0) {
@@ -196,19 +179,6 @@ EventQueue::runDue(Cycle now)
 }
 
 void
-EventQueue::runDueReference(Cycle now)
-{
-    while (!refHeap.empty() && refHeap.front().when <= now) {
-        std::pop_heap(refHeap.begin(), refHeap.end(), RefLater{});
-        std::unique_ptr<Callback> fn = std::move(refHeap.back().fn);
-        refHeap.pop_back();
-        --count;
-        ++statExecuted;
-        (*fn)();
-    }
-}
-
-void
 EventQueue::clear()
 {
     for (std::size_t w = 0; w < OCC_WORDS; ++w) {
@@ -224,17 +194,9 @@ EventQueue::clear()
     }
     overflow.clear();
     stale.clear();
-    refHeap.clear();
     wheelCount = 0;
     count = 0;
     wheelNextCacheValid = false;
-}
-
-void
-EventQueue::setReferenceMode(bool enabled)
-{
-    INPG_ASSERT(count == 0, "switching scheduler mode on a live queue");
-    refMode = enabled;
 }
 
 JsonValue
@@ -251,7 +213,7 @@ EventQueue::debugJson() const
     out["executed_total"] = statExecuted;
     out["overflow_scheduled"] = statOverflow;
     out["schedule_heap_allocs"] = statHeapAllocs;
-    out["mode"] = refMode ? "reference-heap" : "timing-wheel";
+    out["mode"] = "timing-wheel";
     return out;
 }
 

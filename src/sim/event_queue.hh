@@ -22,10 +22,6 @@
  * precede directly-scheduled entries (which, by the window invariant,
  * were scheduled later and thus carry higher sequence numbers).
  *
- * setReferenceMode(true) switches an (empty) queue to the pre-wheel
- * design -- a binary heap of heap-allocated callbacks -- kept as the
- * differential-testing and benchmarking baseline.
- *
  * Threading: the queue is single-threaded, like the whole System
  * that owns it (DESIGN.md Section 11).
  */
@@ -35,7 +31,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/small_function.hh"
@@ -54,7 +49,7 @@ class EventQueue
      * Schedule a callback at an absolute cycle. `when` must be no
      * earlier than the cycle of the most recent runDue() call (events
      * scheduled *at* that cycle from outside runDue fire on its next
-     * invocation, exactly as with the reference heap).
+     * invocation, exactly as with a (cycle, seq) min-heap).
      */
     void schedule(Cycle when, Callback fn);
 
@@ -76,15 +71,6 @@ class EventQueue
     /** Drop all pending events (O(occupied buckets), not O(n log n)). */
     void clear();
 
-    /**
-     * Switch to/from the reference binary-heap scheduler (pre-wheel
-     * behavior, one heap allocation per schedule). Only legal while the
-     * queue is empty. For A/B benchmarking and differential tests.
-     */
-    void setReferenceMode(bool enabled);
-
-    bool referenceMode() const { return refMode; }
-
     // ---- schedule-path instrumentation (host-side, free counters) ----
 
     /** Events scheduled over the queue's lifetime. */
@@ -95,8 +81,7 @@ class EventQueue
 
     /**
      * Heap allocations performed on the schedule path: callbacks too
-     * large for the SmallCallback inline buffer, plus (in reference
-     * mode) the per-entry callback box. Zero in steady-state wheel
+     * large for the SmallCallback inline buffer. Zero in steady-state
      * operation.
      */
     std::uint64_t scheduleHeapAllocs() const { return statHeapAllocs; }
@@ -133,28 +118,11 @@ class EventQueue
         }
     };
 
-    struct RefEntry {
-        Cycle when;
-        std::uint64_t seq;
-        std::unique_ptr<Callback> fn;
-    };
-
-    struct RefLater {
-        bool
-        operator()(const RefEntry &a, const RefEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
     void pushWheel(Entry &&e);
     void advanceBaseTo(Cycle base);
     void promoteOverflow();
     Cycle wheelNextCycle() const;
     void drainStale();
-    void runDueReference(Cycle now);
 
     std::array<std::vector<Entry>, WHEEL_SIZE> buckets;
     std::array<std::uint64_t, OCC_WORDS> occupied{};
@@ -178,9 +146,6 @@ class EventQueue
     mutable bool wheelNextCacheValid = false;
     std::size_t count = 0;
     std::uint64_t nextSeq = 0;
-
-    bool refMode = false;
-    std::vector<RefEntry> refHeap;
 
     std::uint64_t statScheduled = 0;
     std::uint64_t statExecuted = 0;

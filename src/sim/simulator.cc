@@ -84,11 +84,12 @@ Simulator::sweepActive()
 {
     // Sweep the active bitmap in ascending slot order, re-reading the
     // live word before every pick so a tick that wakes a HIGHER slot
-    // makes it run this same cycle -- exactly the reference flag loop's
-    // semantics (each index is examined once, with its state as of the
-    // moment the scan reaches it). The cursor mask retires the chosen
-    // bit and everything below it, so backward wakes wait for the next
-    // cycle just as the flag loop's already-passed indices did.
+    // makes it run this same cycle -- the semantics of a plain loop
+    // over per-component active flags (each index is examined once,
+    // with its state as of the moment the scan reaches it). The cursor
+    // mask retires the chosen bit and everything below it, so backward
+    // wakes wait for the next cycle, like indices such a loop has
+    // already passed.
     // Components only ever suspend themselves, so a bit the cursor has
     // not reached can vanish only with its tick already unnecessary.
     for (std::size_t w = 0; w < activeBits.size(); ++w) {

@@ -60,7 +60,6 @@ RunRecord::toJson() const
     cfg["mechanism"] = mechanism;
     cfg["lock"] = lock;
     cfg["topology"] = topology;
-    cfg["impl"] = impl;
     cfg["cores"] = cores;
     cfg["big_routers"] = bigRouters;
     cfg["seed"] = seed;
@@ -120,7 +119,6 @@ RunRecord::fromJson(const JsonValue &doc, std::string *err)
     rec.mechanism = cfg.at("mechanism").asString();
     rec.lock = cfg.at("lock").asString();
     rec.topology = cfg.at("topology").asString();
-    rec.impl = cfg.at("impl").asString();
     rec.cores = static_cast<int>(cfg.at("cores").asInt());
     rec.bigRouters = static_cast<int>(cfg.at("big_routers").asInt());
     rec.seed = cfg.at("seed").asUint(1);

@@ -2,7 +2,7 @@
  * @file
  * RunRecord: the versioned, machine-readable record of one benchmark
  * run -- full provenance (commit, compiler, topology, mechanism, lock,
- * seed, implementation flavor) plus the scalar metrics every
+ * seed) plus the scalar metrics every
  * figure is computed from, the LCO leg breakdown, the timeseries
  * summary, and the complete stats snapshot.
  *
@@ -64,7 +64,6 @@ struct RunRecord {
     std::string mechanism; ///< mechanismName() spelling
     std::string lock;      ///< lockKindName() spelling
     std::string topology;  ///< TopologySpec::canonical() ("mesh:8x8")
-    std::string impl;      ///< "fast" / "reference"
     int cores = 0;
     int bigRouters = 0;
     std::uint64_t seed = 1;
@@ -93,11 +92,9 @@ struct RunRecord {
     /**
      * Simulated-configuration identity used to pair records across
      * ledgers: benchmark, mechanism, lock, topology, big routers, seed
-     * and cs_scale. `impl` is deliberately excluded -- both flavors
-     * are documented bit-identical in simulated results, so a
-     * reference run diffs cleanly against its fast twin. Ledgers
-     * written before the serial kernel became the only one may carry
-     * a `config.threads` key; fromJson() ignores it.
+     * and cs_scale. Ledgers written before the simulator had one
+     * kernel and one implementation may carry `config.threads` and
+     * `config.impl` keys; fromJson() ignores both.
      */
     std::string configKey() const;
 

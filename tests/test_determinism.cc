@@ -13,7 +13,6 @@
 
 #include "harness/sweep_runner.hh"
 #include "harness/system.hh"
-#include "telemetry/watchdog.hh"
 #include "workload/benchmark_profile.hh"
 #include "workload/workload.hh"
 
@@ -46,25 +45,16 @@ struct Fingerprint {
 
 Fingerprint
 runOnce(Mechanism mech, LockKind lock, bool fast_forward,
-        std::uint64_t *ff_cycles = nullptr, bool fast_structures = true,
-        int mesh = 4)
+        std::uint64_t *ff_cycles = nullptr)
 {
     SystemConfig cfg;
-    cfg.noc.meshWidth = mesh;
-    cfg.noc.meshHeight = mesh;
+    cfg.noc.meshWidth = 4;
+    cfg.noc.meshHeight = 4;
     cfg.mechanism = mech;
     cfg.lockKind = lock;
-    // Hot-path data structures (timing wheel, flat hash, precomputed
-    // routes, mask-driven allocation, SoA VC state) vs their reference
-    // versions.
-    cfg.noc.precomputeRoutes = fast_structures;
-    cfg.noc.fastAllocScan = fast_structures;
-    cfg.noc.soaVcState = fast_structures;
-    cfg.coh.flatContainers = fast_structures;
     cfg.finalize();
 
     System system(cfg);
-    system.sim().events().setReferenceMode(!fast_structures);
     system.sim().setFastForward(fast_forward);
 
     Workload::Params wp;
@@ -132,88 +122,6 @@ TEST(Determinism, FastForwardIsInvisibleForSpinLocks)
     Fingerprint off = runOnce(Mechanism::Original, LockKind::Tas, false);
     Fingerprint on = runOnce(Mechanism::Original, LockKind::Tas, true);
     EXPECT_TRUE(off == on);
-}
-
-TEST(Determinism, HotPathStructuresAreInvisibleForSpinLocks)
-{
-    // Timing wheel vs reference heap, flat-hash vs tree/hash maps,
-    // precomputed vs per-flit routing, mask-driven vs full-scan
-    // allocation: a busy TAS run must be bit-identical either way.
-    Fingerprint fast = runOnce(Mechanism::Original, LockKind::Tas, true);
-    Fingerprint ref =
-        runOnce(Mechanism::Original, LockKind::Tas, true, nullptr, false);
-    EXPECT_TRUE(fast == ref);
-}
-
-TEST(Determinism, HotPathStructuresAreInvisibleWithInpgOcor)
-{
-    // iNPG+OCOR enables the Priority switch policy, covering the
-    // priority/aging arbitration path of the mask-based allocators.
-    Fingerprint fast = runOnce(Mechanism::InpgOcor, LockKind::Qsl, true);
-    Fingerprint ref =
-        runOnce(Mechanism::InpgOcor, LockKind::Qsl, true, nullptr, false);
-    EXPECT_TRUE(fast == ref);
-}
-
-TEST(Determinism, HotPathStructuresAreInvisibleAt8x8)
-{
-    // 64 nodes: exercises the SoA masks and ring indices across a
-    // bigger radix and longer routes than the 4x4 default.
-    Fingerprint fast = runOnce(Mechanism::Original, LockKind::Tas, true,
-                               nullptr, true, 8);
-    Fingerprint ref = runOnce(Mechanism::Original, LockKind::Tas, true,
-                              nullptr, false, 8);
-    EXPECT_TRUE(fast == ref);
-}
-
-TEST(Determinism, HotPathStructuresAreInvisibleAt8x8WithInpg)
-{
-    // iNPG big-routers add the generator port and its queue to every
-    // lock-home router; the SoA layout must reproduce their schedule
-    // exactly at 8x8 too.
-    Fingerprint fast = runOnce(Mechanism::Inpg, LockKind::Qsl, true,
-                               nullptr, true, 8);
-    Fingerprint ref = runOnce(Mechanism::Inpg, LockKind::Qsl, true,
-                              nullptr, false, 8);
-    EXPECT_TRUE(fast == ref);
-}
-
-TEST(Determinism, SeededHangReportIsIdenticalAcrossVcLayouts)
-{
-    // A protocol hang (first directory response dropped) trips the
-    // watchdog; its structured report dumps router/NI state. Fast and
-    // Reference VC layouts must hang at the same cycle with the same
-    // report -- the diagnosis path reads occupancy through the shared
-    // accessors, not the layout.
-    auto hangReport = [](bool soa_layout) {
-        SystemConfig cfg;
-        cfg.noc.meshWidth = 4;
-        cfg.noc.meshHeight = 4;
-        cfg.lockKind = LockKind::Tas;
-        cfg.noc.soaVcState = soa_layout;
-        cfg.coh.dropDirResponseNth = 1;
-        cfg.telemetry.watchdogWindow = 50000;
-        cfg.telemetry.recorder = true;
-        cfg.telemetry.packets = true;
-        cfg.finalize();
-        System system(cfg);
-
-        Workload::Params wp;
-        wp.profile = benchmarkByName("freq");
-        wp.threads = cfg.numCores();
-        wp.csScale = 0.01;
-        wp.lockKind = cfg.lockKind;
-        Workload w(wp, system.coherent(), system.locks(), system.sim());
-        w.start();
-        try {
-            system.runUntil([&] { return w.done(); }, 5000000);
-        } catch (const SimHangError &e) {
-            return e.reportJson();
-        }
-        ADD_FAILURE() << "seeded hang did not trip the watchdog";
-        return std::string();
-    };
-    EXPECT_EQ(hangReport(true), hangReport(false));
 }
 
 TEST(Determinism, SweepMatchesSerialRuns)

@@ -3,13 +3,14 @@
  * Timing-wheel EventQueue tests: FIFO order within a cycle across wheel
  * rollover, far-future overflow promotion, scheduling from inside a
  * callback, clear(), small-buffer accounting, and a differential fuzz
- * run against the reference binary-heap scheduler.
+ * run against a test-local (cycle, sequence) min-heap model.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -139,26 +140,70 @@ TEST(EventWheel, SmallCallbacksDoNotAllocate)
     EXPECT_EQ(x, 64u + 7u);
 }
 
-TEST(EventWheel, ReferenceModeCountsPerScheduleAllocations)
+/**
+ * Deterministic re-entry derived from the event id alone, so the wheel
+ * and the model make identical decisions: every fourth id spawns a
+ * child, every twelfth at the same cycle. Returns false for no child.
+ */
+bool
+childDelta(int id, Cycle *delta)
 {
-    EventQueue q;
-    q.setReferenceMode(true);
-    int ran = 0;
-    for (int i = 0; i < 10; ++i)
-        q.schedule(static_cast<Cycle>(i), [&ran] { ++ran; });
-    EXPECT_GE(q.scheduleHeapAllocs(), 10u);
-    q.runDue(10);
-    EXPECT_EQ(ran, 10);
-    // Only legal while empty; switching back must work here.
-    q.setReferenceMode(false);
-    EXPECT_FALSE(q.referenceMode());
+    if (id % 4 != 0)
+        return false;
+    *delta = id % 12 == 0 ? 0 : static_cast<Cycle>(id % 700 + 1);
+    return true;
 }
 
 /**
- * Differential fuzz: drive a wheel queue and a reference-heap queue
- * with an identical schedule/run stream (including re-entrant
- * schedules decided deterministically per event id) and require
- * identical execution logs.
+ * Executable specification of the queue's order: a (when, seq)
+ * min-heap, FIFO within a cycle. Events carry only their id; firing
+ * one logs it and applies childDelta().
+ */
+struct HeapModel {
+    struct Ev {
+        Cycle when;
+        std::uint64_t seq;
+        int id;
+    };
+    struct Later {
+        bool
+        operator()(const Ev &a, const Ev &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
+
+    std::priority_queue<Ev, std::vector<Ev>, Later> heap;
+    std::uint64_t nextSeq = 0;
+    Fired log;
+    int nextId = 1000000; // ids for callback-spawned children
+
+    void
+    scheduleEvent(Cycle when, int id)
+    {
+        heap.push(Ev{when, nextSeq++, id});
+    }
+
+    void
+    runDue(Cycle now)
+    {
+        while (!heap.empty() && heap.top().when <= now) {
+            const Ev e = heap.top();
+            heap.pop();
+            log.emplace_back(e.when, e.id);
+            Cycle delta = 0;
+            if (childDelta(e.id, &delta))
+                scheduleEvent(e.when + delta, nextId++);
+        }
+    }
+};
+
+/**
+ * Differential fuzz: drive the wheel queue and the heap model with an
+ * identical schedule/run stream (including re-entrant schedules) and
+ * require identical execution logs.
  */
 TEST(EventWheel, DifferentialFuzzAgainstReferenceHeap)
 {
@@ -172,22 +217,15 @@ TEST(EventWheel, DifferentialFuzzAgainstReferenceHeap)
         {
             q.schedule(when, [this, when, id] {
                 log.emplace_back(when, id);
-                // Deterministic re-entry derived from the id alone so
-                // both queues make identical decisions: every fourth
-                // id spawns a child, every twelfth at the same cycle.
-                if (id % 4 == 0) {
-                    Cycle delta = id % 12 == 0
-                        ? 0
-                        : static_cast<Cycle>(id % 700 + 1);
+                Cycle delta = 0;
+                if (childDelta(id, &delta))
                     scheduleEvent(when + delta, nextId++);
-                }
             });
         }
     };
 
     Harness wheel;
-    Harness ref;
-    ref.q.setReferenceMode(true);
+    HeapModel ref;
 
     Rng rng(0xfeedULL);
     Cycle now = 0;
@@ -210,22 +248,21 @@ TEST(EventWheel, DifferentialFuzzAgainstReferenceHeap)
         }
         now += static_cast<Cycle>(rng.nextBounded(300));
         wheel.q.runDue(now);
-        ref.q.runDue(now);
+        ref.runDue(now);
         ASSERT_EQ(wheel.log.size(), ref.log.size()) << "round " << round;
     }
     // Drain everything still pending (far-future stragglers).
     now += 30000;
     wheel.q.runDue(now);
-    ref.q.runDue(now);
+    ref.runDue(now);
     EXPECT_TRUE(wheel.q.empty());
-    EXPECT_TRUE(ref.q.empty());
+    EXPECT_TRUE(ref.heap.empty());
     ASSERT_EQ(wheel.log.size(), ref.log.size());
     EXPECT_EQ(wheel.log, ref.log);
     // The wheel must have exercised the overflow path and stayed
     // allocation-free for these small captures.
     EXPECT_GT(wheel.q.overflowScheduled(), 0u);
     EXPECT_EQ(wheel.q.scheduleHeapAllocs(), 0u);
-    EXPECT_GT(ref.q.scheduleHeapAllocs(), 0u);
 }
 
 } // namespace

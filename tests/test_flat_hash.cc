@@ -2,25 +2,19 @@
  * @file
  * FlatHashMap tests: randomized differential check against the
  * standard containers under the address distribution the directory
- * actually sees (line-aligned, hot-set skew), growth/rehash behavior,
- * backward-shift deletion, and an end-to-end golden-memory run
- * asserting identical coherence results with map vs flat-hash
- * containers.
+ * actually sees (line-aligned, hot-set skew), growth/rehash behavior
+ * and backward-shift deletion.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "coh/coherent_system.hh"
-#include "coh/golden_memory.hh"
 #include "common/flat_hash_map.hh"
 #include "common/rng.hh"
-#include "sim/simulator.hh"
+#include "common/types.hh"
 
 namespace inpg {
 namespace {
@@ -124,92 +118,6 @@ TEST(FlatHash, EraseBackwardShiftKeepsLookupsExact)
     for (const auto &[k, v] : mirror)
         ASSERT_TRUE(flat.erase(k));
     EXPECT_TRUE(flat.empty());
-}
-
-/** One run of randomized coherent traffic; everything it may differ in. */
-struct TrafficResult {
-    std::string goldenErr;
-    std::size_t goldenLines = 0;
-    Cycle finalCycle = 0;
-    std::vector<std::uint64_t> loadedValues;
-    std::map<std::string, std::uint64_t> cohCounters;
-    std::map<std::string, std::uint64_t> nodeCounters;
-
-    bool
-    operator==(const TrafficResult &o) const
-    {
-        return goldenErr == o.goldenErr && goldenLines == o.goldenLines &&
-               finalCycle == o.finalCycle &&
-               loadedValues == o.loadedValues &&
-               cohCounters == o.cohCounters &&
-               nodeCounters == o.nodeCounters;
-    }
-};
-
-TrafficResult
-runCoherentTraffic(bool flat_containers)
-{
-    NocConfig nocCfg;
-    nocCfg.meshWidth = 4;
-    nocCfg.meshHeight = 4;
-    CohConfig cohCfg;
-    cohCfg.flatContainers = flat_containers;
-    Simulator sim;
-    CoherentSystem sys(nocCfg, cohCfg, sim);
-    GoldenMemory golden;
-    sys.setOpLog([&](const OpRecord &r) { golden.record(r); });
-
-    TrafficResult res;
-    Rng rng(4242);
-    const int cores = sys.numCores();
-    int outstanding = 0;
-    for (int round = 0; round < 60; ++round) {
-        // One op per core per round keeps every L1 at one pending op
-        // while still racing cores against each other on the hot set.
-        for (CoreId c = 0; c < cores; ++c) {
-            const Addr a = skewedLineAddr(rng, cohCfg.lineSize);
-            ++outstanding;
-            if (rng.chance(0.5)) {
-                sys.l1(c).issueLoad(a, false, [&res, &outstanding](
-                                                  std::uint64_t v) {
-                    res.loadedValues.push_back(v);
-                    --outstanding;
-                });
-            } else {
-                sys.l1(c).issueStore(a, rng.next(), false,
-                                     [&outstanding](std::uint64_t) {
-                                         --outstanding;
-                                     });
-            }
-        }
-        const bool ok =
-            sim.runUntil([&] { return outstanding == 0; }, 2000000);
-        EXPECT_TRUE(ok) << "round " << round << " timed out";
-        if (!ok)
-            break;
-    }
-
-    res.goldenErr = golden.verify();
-    res.goldenLines = golden.size();
-    res.finalCycle = sim.now();
-    res.cohCounters = sys.cohStats().counters.allCounters();
-    for (CoreId c = 0; c < cores; ++c)
-        for (const auto &[k, v] : sys.l1(c).stats.allCounters())
-            res.nodeCounters["l1" + std::to_string(c) + "." + k] += v;
-    for (NodeId n = 0; n < nocCfg.numNodes(); ++n)
-        for (const auto &[k, v] : sys.directory(n).stats.allCounters())
-            res.nodeCounters["dir" + std::to_string(n) + "." + k] += v;
-    return res;
-}
-
-TEST(FlatHash, GoldenEndToEndIdenticalWithMapContainers)
-{
-    TrafficResult flat = runCoherentTraffic(true);
-    TrafficResult ref = runCoherentTraffic(false);
-    EXPECT_EQ(flat.goldenErr, "");
-    EXPECT_EQ(ref.goldenErr, "");
-    EXPECT_GT(flat.loadedValues.size(), 0u);
-    EXPECT_TRUE(flat == ref);
 }
 
 } // namespace

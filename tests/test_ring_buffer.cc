@@ -120,9 +120,21 @@ testFlit(FlitType type, VcId vc)
 
 TEST(VcStateArray, FitsGuardsTheMaskBudget)
 {
-    EXPECT_TRUE(VcStateArray::fits(6, 8));  // 48 slots: standard shape
-    EXPECT_TRUE(VcStateArray::fits(8, 8));  // exactly 64
-    EXPECT_FALSE(VcStateArray::fits(9, 8)); // 72 > 64: reference path
+    // 32 VCs per port fill one candidate word: VC 31 is the top bit,
+    // and the summary words carry one bit per port.
+    VcStateArray a(/*ports=*/6, /*vcs=*/32, /*depth=*/1);
+    a.receiveFlit(5, testFlit(FlitType::HeadTail, 31), 1);
+    EXPECT_EQ(a.vaCandidates(5), 1u << 31);
+    EXPECT_EQ(a.vaPorts(), 1u << 5);
+    const std::size_t s = a.slot(5, 31);
+    a.state[s] = VcStateArray::Active;
+    a.refreshMask(5, 31);
+    EXPECT_EQ(a.vaCandidates(5), 0u);
+    EXPECT_EQ(a.vaPorts(), 0u);
+    EXPECT_EQ(a.saCandidates(5), 1u << 31);
+    EXPECT_EQ(a.saPorts(), 1u << 5);
+    for (int p = 0; p < 5; ++p)
+        EXPECT_EQ(a.saCandidates(p), 0u) << "port " << p;
 }
 
 TEST(VcStateArray, ReceiveAndPopKeepOccupancyAndMasksInSync)
@@ -130,29 +142,32 @@ TEST(VcStateArray, ReceiveAndPopKeepOccupancyAndMasksInSync)
     VcStateArray a(/*ports=*/2, /*vcs=*/2, /*depth=*/3);
     const std::size_t s = a.slot(1, 1);
     EXPECT_EQ(a.totalOccupancy(), 0u);
-    EXPECT_EQ(a.pendingMask, 0u);
+    EXPECT_EQ(a.vaPorts(), 0u);
 
     a.receiveFlit(1, testFlit(FlitType::Head, 1), /*now=*/5);
     EXPECT_EQ(a.totalOccupancy(), 1u);
     EXPECT_EQ(a.vcOccupancy(s), 1u);
     EXPECT_EQ(a.portOccupancy(1), 1u);
     EXPECT_EQ(a.portOccupancy(0), 0u);
-    // An idle VC holding a head flit is a pending (RC) candidate.
-    EXPECT_EQ(a.pendingMask, 1ull << s);
+    // An idle VC holding a head flit is a route-compute candidate.
+    EXPECT_EQ(a.vaCandidates(1), 1u << 1);
+    EXPECT_EQ(a.vaCandidates(0), 0u);
+    EXPECT_EQ(a.vaPorts(), 1u << 1);
     EXPECT_EQ(a.front(s)->bufferedAt, 5u);
 
     a.receiveFlit(1, testFlit(FlitType::Body, 1), 6);
     a.receiveFlit(1, testFlit(FlitType::Tail, 1), 7);
     EXPECT_EQ(a.vcOccupancy(s), 3u);
 
-    FlitPtr popped = a.popFlit(s);
+    FlitPtr popped = a.popFlit(1, 1);
     EXPECT_EQ(popped->type, FlitType::Head);
     EXPECT_EQ(a.vcOccupancy(s), 2u);
     EXPECT_EQ(a.totalOccupancy(), 2u);
-    a.popFlit(s);
-    a.popFlit(s);
+    a.popFlit(1, 1);
+    a.popFlit(1, 1);
     EXPECT_EQ(a.totalOccupancy(), 0u);
-    EXPECT_EQ(a.pendingMask, 0u);
+    EXPECT_EQ(a.vaCandidates(1), 0u);
+    EXPECT_EQ(a.vaPorts(), 0u);
     EXPECT_FALSE(a.hasFlit(s));
 }
 
@@ -175,7 +190,7 @@ TEST(VcStateArray, PerVcRingWrapsWithinPooledArena)
         }
         int expect = seq - 3;
         while (a.hasFlit(s))
-            EXPECT_EQ(a.popFlit(s)->seq, expect++);
+            EXPECT_EQ(a.popFlit(0, 1)->seq, expect++);
         EXPECT_EQ(expect, seq);
     }
     EXPECT_EQ(a.totalOccupancy(), 0u);
@@ -189,27 +204,28 @@ TEST(VcStateArray, MaskLifecycleFollowsVcStates)
     EXPECT_EQ(a.vaCandidates(0), 1u);
     EXPECT_EQ(a.saCandidates(0), 0u);
 
-    // RC: Idle -> WaitVc moves the slot from pending to wait.
+    // RC: Idle -> WaitVc keeps the VC a VA candidate.
     a.state[s] = VcStateArray::WaitVc;
-    a.refreshMask(s);
-    EXPECT_EQ(a.pendingMask, 0u);
-    EXPECT_EQ(a.waitMask, 1ull << s);
+    a.refreshMask(0, 0);
     EXPECT_EQ(a.vaCandidates(0), 1u);
+    EXPECT_EQ(a.vaPorts(), 1u);
+    EXPECT_EQ(a.saPorts(), 0u);
 
     // VA: WaitVc -> Active makes it a switch-allocation candidate.
     a.state[s] = VcStateArray::Active;
-    a.refreshMask(s);
-    EXPECT_EQ(a.waitMask, 0u);
-    EXPECT_EQ(a.activeMask, 1ull << s);
+    a.refreshMask(0, 0);
     EXPECT_EQ(a.vaCandidates(0), 0u);
+    EXPECT_EQ(a.vaPorts(), 0u);
     EXPECT_EQ(a.saCandidates(0), 1u);
+    EXPECT_EQ(a.saPorts(), 1u);
 
     // ST of the tail: an empty Active VC is no candidate at all.
-    a.popFlit(s);
-    EXPECT_EQ(a.activeMask, 0u);
+    a.popFlit(0, 0);
+    EXPECT_EQ(a.saCandidates(0), 0u);
+    EXPECT_EQ(a.saPorts(), 0u);
     a.state[s] = VcStateArray::Idle;
-    a.refreshMask(s);
-    EXPECT_EQ(a.vaMask(), 0u);
+    a.refreshMask(0, 0);
+    EXPECT_EQ(a.vaPorts(), 0u);
 }
 
 } // namespace

@@ -36,7 +36,6 @@ makeRecord(const std::string &mech, const std::string &lock,
     rec.mechanism = mech;
     rec.lock = lock;
     rec.topology = "mesh:4x4";
-    rec.impl = "fast";
     rec.cores = 16;
     rec.bigRouters = 1;
     rec.seed = seed;
@@ -177,20 +176,19 @@ TEST(RunRecord, SchemaVersionCompatibility)
 TEST(RunRecord, ConfigKeyPairsAcrossThreadsAndImpl)
 {
     RunRecord a = makeRecord("iNPG", "QSL", 1, 100);
-    // impl is documented bit-identical in simulated results, so it is
-    // excluded from the pairing identity. Ledgers from before the
-    // serial kernel became the only one carry a config.threads key
-    // (threads=4 was bit-identical too): the reader ignores it, so
-    // such a line still parses and pairs with today's records.
+    // Ledgers from before the simulator had one kernel and one
+    // implementation carry config.threads and config.impl keys (both
+    // were bit-identical in simulated results): the reader ignores
+    // them, so such a line still parses and pairs with today's records.
     JsonValue doc = a.toJson();
     doc["config"]["threads"] = 4;
     doc["config"]["impl"] = "reference";
     std::string err;
     RunRecord b = RunRecord::fromJson(doc, &err);
     ASSERT_TRUE(err.empty()) << err;
-    EXPECT_EQ(b.impl, "reference");
     EXPECT_EQ(a.configKey(), b.configKey());
     EXPECT_EQ(b.toJson().at("config").find("threads"), nullptr);
+    EXPECT_EQ(b.toJson().at("config").find("impl"), nullptr);
 
     RunRecord c = a;
     c.seed = 2;

@@ -3,9 +3,8 @@
  * Telemetry subsystem tests: the LCO attribution tiling invariant
  * (leg sum == end-to-end acquire latency, exactly), the TAS-vs-MCS
  * attribution ordering of Figure 2, packet-lifetime accounting,
- * trace-sink capping, the stats snapshot document, the ImplMode
- * config collapse, and that enabling telemetry never changes
- * simulated results.
+ * trace-sink capping, the stats snapshot document, and that enabling
+ * telemetry never changes simulated results.
  */
 
 #include <gtest/gtest.h>
@@ -293,54 +292,6 @@ TEST(KernelProfile, RecordsCyclesAndFastForwardSkips)
     EXPECT_GT(telem.kernel->eventsPerCycleHist().count(), 0u);
     EXPECT_GT(telem.kernel->ffSkipHist().count(), 0u);
     EXPECT_GE(telem.kernel->ffSkipHist().max(), 400u);
-}
-
-TEST(ImplMode, ReferenceCollapsesAllStructureToggles)
-{
-    SystemConfig cfg;
-    cfg.impl = ImplMode::Reference;
-    cfg.finalize();
-    EXPECT_FALSE(cfg.noc.precomputeRoutes);
-    EXPECT_FALSE(cfg.noc.fastAllocScan);
-    EXPECT_FALSE(cfg.noc.soaVcState);
-    EXPECT_FALSE(cfg.coh.flatContainers);
-
-    // Fast (the default) leaves hand-set toggles alone so the
-    // determinism A/B tests can still drive individual flags.
-    SystemConfig fast;
-    fast.noc.precomputeRoutes = false;
-    fast.finalize();
-    EXPECT_FALSE(fast.noc.precomputeRoutes);
-    EXPECT_TRUE(fast.noc.fastAllocScan);
-}
-
-TEST(ImplMode, EnvironmentOverrideWins)
-{
-    ::setenv("INPG_IMPL", "reference", 1);
-    SystemConfig cfg;
-    cfg.impl = ImplMode::Fast;
-    cfg.finalize();
-    ::unsetenv("INPG_IMPL");
-    EXPECT_EQ(cfg.impl, ImplMode::Reference);
-    EXPECT_FALSE(cfg.noc.precomputeRoutes);
-    EXPECT_FALSE(cfg.coh.flatContainers);
-}
-
-TEST(ImplMode, FastAndReferenceAreBitIdentical)
-{
-    auto run = [](ImplMode impl) {
-        RunConfig rc;
-        rc.profile = benchmarkByName("freq");
-        rc.system.noc.meshWidth = 4;
-        rc.system.noc.meshHeight = 4;
-        rc.system.lockKind = LockKind::Mcs;
-        rc.system.impl = impl;
-        rc.csScale = 0.005;
-        RunResult r = runBenchmark(rc);
-        return std::make_tuple(r.roiCycles, r.csCompleted,
-                               r.lockCohCycles);
-    };
-    EXPECT_EQ(run(ImplMode::Fast), run(ImplMode::Reference));
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Topology-layer tests: spec parsing and the config surface (incl. the
- * deprecated mesh= shim and named presets), torus dateline routing
+ * Topology-layer tests: spec parsing and the config surface (incl.
+ * named presets), torus dateline routing
  * properties, channel-dependency acyclicity across fabrics with the
  * no-escape-VC torus as the negative control, big-router placement,
  * determinism fingerprints for torus and cmesh, and the 32x32
@@ -84,7 +84,7 @@ TEST(TopologySpec, CanonicalRoundTrips)
 }
 
 // ---------------------------------------------------------------------
-// Config surface (topology=, the mesh= shim, presets)
+// Config surface (topology=, presets)
 // ---------------------------------------------------------------------
 
 Config
@@ -123,20 +123,10 @@ TEST(TopologyConfig, LoadArgsAllThreeForms)
     }
 }
 
-TEST(TopologyConfig, DeprecatedMeshShimStillWorks)
-{
-    SystemConfig sc;
-    sc.applyOverrides(makeConfig({"mesh=16x16"}));
-    EXPECT_EQ(sc.noc.topology, TopologyKind::Mesh);
-    EXPECT_EQ(sc.noc.meshWidth, 16);
-    EXPECT_EQ(sc.noc.meshHeight, 16);
-    EXPECT_EQ(sc.noc.concentration, 1);
-}
-
 TEST(TopologyConfig, MeshPresetParsesWxH)
 {
     Config overrides;
-    overrides.loadString("mesh = 16x16\n");
+    overrides.loadString("topology = 16x16\n");
     SystemConfig cfg;
     cfg.applyOverrides(overrides);
     EXPECT_EQ(cfg.noc.meshWidth, 16);
@@ -144,7 +134,7 @@ TEST(TopologyConfig, MeshPresetParsesWxH)
 
     // Explicit dimension keys still win over the preset.
     Config both;
-    both.loadString("mesh = 16x16\nmesh_width = 8\nmesh_height = 4\n");
+    both.loadString("topology = 16x16\nmesh_width = 8\nmesh_height = 4\n");
     SystemConfig cfg2;
     cfg2.applyOverrides(both);
     EXPECT_EQ(cfg2.noc.meshWidth, 8);
@@ -156,7 +146,7 @@ TEST(TopologyConfig, UnknownTopologyIsFatal)
     SystemConfig sc;
     EXPECT_THROW(sc.applyOverrides(makeConfig({"topology=ring:4x4"})),
                  FatalError);
-    EXPECT_THROW(sc.applyOverrides(makeConfig({"mesh=bogus"})),
+    EXPECT_THROW(sc.applyOverrides(makeConfig({"topology=mesh:bogus"})),
                  FatalError);
 }
 
