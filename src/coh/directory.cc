@@ -9,6 +9,17 @@ namespace inpg {
 
 namespace {
 
+/** Keys every directory registers at construction (ascending). */
+constexpr std::string_view DIR_COUNTERS[] = {
+    "msgs_received",
+    "msgs_sent",
+};
+constexpr std::string_view DIR_SAMPLES[] = {
+    "queue_depth_at_dequeue",
+};
+static_assert(sortedKeys(DIR_COUNTERS) && sortedKeys(DIR_SAMPLES));
+constexpr StatKeys DIR_KEYS{DIR_COUNTERS, DIR_SAMPLES};
+
 /** Directory-entry state as classified by the protocol table. */
 DirState
 dirStateFor(const Directory::DirEntry &e, CoreId requester)
@@ -43,10 +54,12 @@ Directory::Directory(NodeId node_id, const CohConfig &config,
     : node(node_id), cfg(config), net(network), sim(simulator),
       mem(memory), cohStats(coh_stats)
 {
-    stats = StatGroup(format("dir%d", node_id));
-    msgsReceivedCtr = &stats.counter("msgs_received");
-    msgsSentCtr = &stats.counter("msgs_sent");
-    queueDepthSample = &stats.sample("queue_depth_at_dequeue");
+    stats = StatGroup(format("dir%d", node_id), DIR_KEYS);
+    msgsReceivedCtr =
+        &stats.counterAt(keyIndex(DIR_COUNTERS, "msgs_received"));
+    msgsSentCtr = &stats.counterAt(keyIndex(DIR_COUNTERS, "msgs_sent"));
+    queueDepthSample =
+        &stats.sampleAt(keyIndex(DIR_SAMPLES, "queue_depth_at_dequeue"));
 }
 
 std::string

@@ -68,6 +68,8 @@ class Directory : public Ticking
 
     std::string tickName() const override;
 
+    HostPhase hostPhase() const override { return HostPhase::Dir; }
+
     NodeId nodeId() const { return node; }
 
     /** Directory entry for a line; nullptr if never touched. */
@@ -127,7 +129,7 @@ class Directory : public Ticking
     FlatHashMap<Addr, DirEntry> entries;
     std::deque<CohMsgPtr> queue;
 
-    /** Cached hot stat handles (string lookup once at construction). */
+    /** Cached hot stat handles (eager keys, taken by index). */
     std::uint64_t *msgsReceivedCtr = nullptr;
     std::uint64_t *msgsSentCtr = nullptr;
     SampleStat *queueDepthSample = nullptr;

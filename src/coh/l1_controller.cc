@@ -21,6 +21,37 @@ static_assert(static_cast<int>(L1State::I) == 0 &&
 
 namespace {
 
+/** Keys every L1 controller registers at construction (ascending). */
+constexpr std::string_view L1_COUNTERS[] = {
+    "atomics_demoted",
+    "forwards_chained",
+    "forwards_deferred",
+    "fwd_gets_served",
+    "fwd_getx_served",
+    "inv_acks_collected",
+    "inv_on_invalid",
+    "invalidations",
+    "load_hits",
+    "load_misses",
+    "lock_coh_cycles",
+    "msgs_sent",
+    "ops_completed",
+    "ops_issued",
+    "pre_epoch_forwards_served",
+    "pre_epoch_forwards_served_early",
+    "stale_inv_on_owner",
+    "write_hits",
+    "write_misses",
+    "write_upgrades",
+};
+constexpr std::string_view L1_SAMPLES[] = {
+    "load_latency",
+    "lock_rmw_latency",
+    "write_latency",
+};
+static_assert(sortedKeys(L1_COUNTERS) && sortedKeys(L1_SAMPLES));
+constexpr StatKeys L1_KEYS{L1_COUNTERS, L1_SAMPLES};
+
 /** LCO tracker when telemetry is enabled with lco, else nullptr. */
 inline LcoTracker *
 lcoOf(Simulator &sim)
@@ -55,32 +86,47 @@ L1Controller::L1Controller(CoreId core_id, NodeId node_id,
     : core(core_id), node(node_id), cfg(config), net(network),
       sim(simulator), cohStats(coh_stats)
 {
-    stats = StatGroup(format("l1_%d", core_id));
+    stats = StatGroup(format("l1_%d", core_id), L1_KEYS);
     // Cached: bumped once per retired memory op; also the watchdog's
     // per-core retirement progress signal.
-    opsCompletedCtr = &stats.counter("ops_completed");
-    opsIssuedCtr = &stats.counter("ops_issued");
-    msgsSentCtr = &stats.counter("msgs_sent");
-    lockCohCyclesCtr = &stats.counter("lock_coh_cycles");
-    loadLatencySample = &stats.sample("load_latency");
-    writeLatencySample = &stats.sample("write_latency");
-    lockRmwLatencySample = &stats.sample("lock_rmw_latency");
-    loadHitsCtr = &stats.counter("load_hits");
-    loadMissesCtr = &stats.counter("load_misses");
-    writeHitsCtr = &stats.counter("write_hits");
-    writeMissesCtr = &stats.counter("write_misses");
-    writeUpgradesCtr = &stats.counter("write_upgrades");
-    preEpochFwdServedCtr = &stats.counter("pre_epoch_forwards_served");
-    preEpochFwdServedEarlyCtr = &stats.counter("pre_epoch_forwards_served_early");
-    atomicsDemotedCtr = &stats.counter("atomics_demoted");
-    fwdGetsServedCtr = &stats.counter("fwd_gets_served");
-    fwdGetxServedCtr = &stats.counter("fwd_getx_served");
-    forwardsChainedCtr = &stats.counter("forwards_chained");
-    invalidationsCtr = &stats.counter("invalidations");
-    invOnInvalidCtr = &stats.counter("inv_on_invalid");
-    staleInvOnOwnerCtr = &stats.counter("stale_inv_on_owner");
-    forwardsDeferredCtr = &stats.counter("forwards_deferred");
-    invAcksCollectedCtr = &stats.counter("inv_acks_collected");
+    opsCompletedCtr = &stats.counterAt(keyIndex(L1_COUNTERS, "ops_completed"));
+    opsIssuedCtr = &stats.counterAt(keyIndex(L1_COUNTERS, "ops_issued"));
+    msgsSentCtr = &stats.counterAt(keyIndex(L1_COUNTERS, "msgs_sent"));
+    lockCohCyclesCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "lock_coh_cycles"));
+    loadLatencySample = &stats.sampleAt(keyIndex(L1_SAMPLES, "load_latency"));
+    writeLatencySample =
+        &stats.sampleAt(keyIndex(L1_SAMPLES, "write_latency"));
+    lockRmwLatencySample =
+        &stats.sampleAt(keyIndex(L1_SAMPLES, "lock_rmw_latency"));
+    loadHitsCtr = &stats.counterAt(keyIndex(L1_COUNTERS, "load_hits"));
+    loadMissesCtr = &stats.counterAt(keyIndex(L1_COUNTERS, "load_misses"));
+    writeHitsCtr = &stats.counterAt(keyIndex(L1_COUNTERS, "write_hits"));
+    writeMissesCtr = &stats.counterAt(keyIndex(L1_COUNTERS, "write_misses"));
+    writeUpgradesCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "write_upgrades"));
+    preEpochFwdServedCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "pre_epoch_forwards_served"));
+    preEpochFwdServedEarlyCtr = &stats.counterAt(
+        keyIndex(L1_COUNTERS, "pre_epoch_forwards_served_early"));
+    atomicsDemotedCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "atomics_demoted"));
+    fwdGetsServedCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "fwd_gets_served"));
+    fwdGetxServedCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "fwd_getx_served"));
+    forwardsChainedCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "forwards_chained"));
+    invalidationsCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "invalidations"));
+    invOnInvalidCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "inv_on_invalid"));
+    staleInvOnOwnerCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "stale_inv_on_owner"));
+    forwardsDeferredCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "forwards_deferred"));
+    invAcksCollectedCtr =
+        &stats.counterAt(keyIndex(L1_COUNTERS, "inv_acks_collected"));
 }
 
 L1Controller::Line &

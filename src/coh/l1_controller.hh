@@ -219,8 +219,8 @@ class L1Controller
     OpLogFn opLog;
 
     /**
-     * Cached hot stat handles (string lookup once at construction;
-     * StatGroup map nodes are address-stable). opsCompletedCtr doubles
+     * Cached hot stat handles (eager keys, taken by index at
+     * construction; their addresses are stable). opsCompletedCtr doubles
      * as the watchdog's retirement progress signal.
      */
     std::uint64_t *opsCompletedCtr = nullptr;

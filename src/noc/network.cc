@@ -23,6 +23,10 @@ Network::Network(const NocConfig &config, Simulator &sim,
         nis.push_back(std::make_unique<NetworkInterface>(id, cfg));
     }
 
+    // Two channels per NI and two per inter-router link.
+    const std::vector<TopoLink> links = topo->links();
+    channels.reserve(2 * (static_cast<std::size_t>(n) + links.size()));
+
     // Local port wiring: NI <-> router.
     for (NodeId id = 0; id < n; ++id) {
         Channel *to_router = newChannel();
@@ -37,7 +41,7 @@ Network::Network(const NocConfig &config, Simulator &sim,
     // Inter-router wiring from the topology's canonical link list (the
     // mesh subset enumerates in the same order the old builder did, so
     // channel construction order is unchanged on meshes).
-    for (const TopoLink &link : topo->links()) {
+    for (const TopoLink &link : links) {
         Channel *fwd = newChannel();
         Channel *rev = newChannel();
         routers[static_cast<std::size_t>(link.from)]->connectOutput(
@@ -60,9 +64,9 @@ Network::Network(const NocConfig &config, Simulator &sim,
 Channel *
 Network::newChannel()
 {
-    channels.push_back(
-        std::make_unique<Channel>(cfg.linkLatency));
-    return channels.back().get();
+    INPG_ASSERT(channels.size() < channels.capacity(),
+                "channel storage would move");
+    return &channels.emplace_back(cfg.linkLatency);
 }
 
 Router &
@@ -104,14 +108,14 @@ Network::quiescent() const
     for (const auto &ni_ptr : nis)
         if (!ni_ptr->idle())
             return false;
-    for (const auto &ch : channels)
-        if (!ch->flits.empty())
+    for (const Channel &ch : channels)
+        if (!ch.flits.empty())
             return false;
     return true;
 }
 
 std::uint64_t
-Network::routerCounterTotal(const std::string &key) const
+Network::routerCounterTotal(std::string_view key) const
 {
     std::uint64_t total = 0;
     for (const auto &r : routers)
@@ -120,7 +124,7 @@ Network::routerCounterTotal(const std::string &key) const
 }
 
 std::uint64_t
-Network::niCounterTotal(const std::string &key) const
+Network::niCounterTotal(std::string_view key) const
 {
     std::uint64_t total = 0;
     for (const auto &ni_ptr : nis)

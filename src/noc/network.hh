@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hh"
@@ -81,10 +82,10 @@ class Network
     bool quiescent() const;
 
     /** Sum a counter across all routers. */
-    std::uint64_t routerCounterTotal(const std::string &key) const;
+    std::uint64_t routerCounterTotal(std::string_view key) const;
 
     /** Sum a counter across all NIs. */
-    std::uint64_t niCounterTotal(const std::string &key) const;
+    std::uint64_t niCounterTotal(std::string_view key) const;
 
     /** Mean end-to-end packet latency observed at the NIs. */
     double meanPacketLatency() const;
@@ -102,7 +103,12 @@ class Network
     std::unique_ptr<RoutingAlgorithm> routingAlgo;
     std::vector<std::unique_ptr<Router>> routers;
     std::vector<std::unique_ptr<NetworkInterface>> nis;
-    std::vector<std::unique_ptr<Channel>> channels;
+    /**
+     * Every channel, contiguous. Reserved to the exact count before the
+     * first one is built, so the addresses handed to routers and NIs
+     * never move.
+     */
+    std::vector<Channel> channels;
     PacketId nextPacketId = 0;
 
     Channel *newChannel();

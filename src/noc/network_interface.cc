@@ -5,17 +5,37 @@
 
 namespace inpg {
 
+namespace {
+
+/** Keys every network interface registers at construction (ascending). */
+constexpr std::string_view NI_COUNTERS[] = {
+    "flits_sent",
+    "packets_delivered",
+    "packets_queued",
+    "packets_sent",
+};
+constexpr std::string_view NI_SAMPLES[] = {
+    "packet_latency",
+};
+static_assert(sortedKeys(NI_COUNTERS) && sortedKeys(NI_SAMPLES));
+constexpr StatKeys NI_KEYS{NI_COUNTERS, NI_SAMPLES};
+
+} // namespace
+
 NetworkInterface::NetworkInterface(NodeId node_id, const NocConfig &config)
     : id(node_id), cfg(config), baseNode(node_id * cfg.concentration),
       deliver(static_cast<std::size_t>(cfg.concentration)),
       routerPort(cfg.totalVcs(), cfg.vcDepth)
 {
-    stats = StatGroup(format("ni%d", node_id));
-    packetsQueuedCtr = &stats.counter("packets_queued");
-    packetsDeliveredCtr = &stats.counter("packets_delivered");
-    packetsSentCtr = &stats.counter("packets_sent");
-    flitsSentCtr = &stats.counter("flits_sent");
-    packetLatencySample = &stats.sample("packet_latency");
+    stats = StatGroup(format("ni%d", node_id), NI_KEYS);
+    packetsQueuedCtr =
+        &stats.counterAt(keyIndex(NI_COUNTERS, "packets_queued"));
+    packetsDeliveredCtr =
+        &stats.counterAt(keyIndex(NI_COUNTERS, "packets_delivered"));
+    packetsSentCtr = &stats.counterAt(keyIndex(NI_COUNTERS, "packets_sent"));
+    flitsSentCtr = &stats.counterAt(keyIndex(NI_COUNTERS, "flits_sent"));
+    packetLatencySample =
+        &stats.sampleAt(keyIndex(NI_SAMPLES, "packet_latency"));
     injectQueues.resize(static_cast<std::size_t>(cfg.numVnets));
     reassembly.resize(static_cast<std::size_t>(cfg.totalVcs()));
 }

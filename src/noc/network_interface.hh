@@ -73,6 +73,8 @@ class NetworkInterface : public Ticking
 
     std::string tickName() const override;
 
+    HostPhase hostPhase() const override { return HostPhase::Ni; }
+
     NodeId nodeId() const { return id; }
 
     /** First node this NI serves (== nodeId() when concentration 1). */
@@ -154,7 +156,7 @@ class NetworkInterface : public Ticking
     /** Flight recorder; null when off. */
     FlightRecorder *frec = nullptr;
 
-    /** Cached hot stat handles (string lookup once at construction). */
+    /** Cached hot stat handles (eager keys, taken by index). */
     std::uint64_t *packetsQueuedCtr = nullptr;
     std::uint64_t *packetsDeliveredCtr = nullptr;
     std::uint64_t *packetsSentCtr = nullptr;

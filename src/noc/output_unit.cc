@@ -1,17 +1,21 @@
 #include "noc/output_unit.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace inpg {
 
-OutputUnit::OutputUnit(int num_vcs, int vc_depth) : depth(vc_depth)
+OutputUnit::OutputUnit(int num_vcs, int vc_depth)
+    : vcs(num_vcs), depth(vc_depth)
 {
     INPG_ASSERT(num_vcs > 0 && vc_depth > 0,
                 "bad output unit shape: %d VCs x %d credits", num_vcs,
                 vc_depth);
-    INPG_ASSERT(num_vcs <= 32, "busy mask holds at most 32 VCs, got %d",
+    INPG_ASSERT(num_vcs <= MAX_VCS,
+                "busy mask holds at most %d VCs, got %d", MAX_VCS,
                 num_vcs);
-    creditArr.resize(static_cast<std::size_t>(num_vcs), vc_depth);
+    std::fill_n(creditArr.begin(), num_vcs, vc_depth);
 }
 
 void

@@ -7,8 +7,8 @@
 #ifndef INPG_NOC_OUTPUT_UNIT_HH
 #define INPG_NOC_OUTPUT_UNIT_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -77,16 +77,20 @@ class OutputUnit
      */
     VcId findFreeVcInRange(VcId lo, VcId hi);
 
-    int numVcs() const { return static_cast<int>(creditArr.size()); }
+    int numVcs() const { return vcs; }
+
+    /** VC bound of the busy mask (and of the inline credit array). */
+    static constexpr int MAX_VCS = 32;
 
   private:
     /** Busy VCs as a packed mask (bit == VC index). */
     std::uint32_t busyMask = 0;
 
-    /** Credits remaining per VC (flat, cache-resident). */
-    std::vector<int> creditArr;
+    /** Credits remaining per VC (inline, first `vcs` entries used). */
+    std::array<int, MAX_VCS> creditArr{};
 
     Channel *channel = nullptr;
+    int vcs;
     int depth;
     VcId scanPointer = 0;
 

@@ -7,39 +7,57 @@
 
 namespace inpg {
 
+namespace {
+
+/** N elements each constructed from the same arguments. */
+template <typename T, std::size_t N, typename... Args>
+std::array<T, N>
+filledArray(const Args &...args)
+{
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+        return std::array<T, N>{((void)I, T(args...))...};
+    }(std::make_index_sequence<N>{});
+}
+
+/** Keys every router registers at construction (ascending). */
+constexpr std::string_view ROUTER_COUNTERS[] = {
+    "flits_received",
+    "flits_sent",
+    "packets_routed",
+    "va_grants",
+};
+static_assert(sortedKeys(ROUTER_COUNTERS));
+constexpr StatKeys ROUTER_KEYS{ROUTER_COUNTERS, {}};
+
+} // namespace
+
 Router::Router(NodeId node_id, const NocConfig &config_in,
                const RoutingAlgorithm *routing)
     : id(node_id), cfg(config_in),
       // Sized for every port the router can ever have (the generator
       // port arrives after construction).
-      inVcs(NUM_PORTS + 1, config_in.totalVcs(), config_in.vcDepth)
+      inVcs(NUM_PORTS + 1, config_in.totalVcs(), config_in.vcDepth),
+      outputs(filledArray<OutputUnit, NUM_PORTS>(config_in.totalVcs(),
+                                                 config_in.vcDepth)),
+      saInportArb(filledArray<PriorityArbiter, NUM_PORTS + 1>(
+          static_cast<std::size_t>(config_in.totalVcs()),
+          config_in.agingQuantum)),
+      saOutportArb(filledArray<PriorityArbiter, NUM_PORTS>(
+          std::size_t{NUM_PORTS + 1}, config_in.agingQuantum))
 {
     INPG_ASSERT(routing != nullptr, "router %d needs a routing algorithm",
                 node_id);
-    routeTable = routing->buildTable(node_id, cfg.numNodes());
-    stats = StatGroup(format("router%d", node_id));
-    inChannels.reserve(NUM_PORTS + 1);
-    for (int p = 0; p < NUM_PORTS; ++p) {
-        inChannels.push_back(nullptr);
-        outputs[static_cast<std::size_t>(p)] =
-            std::make_unique<OutputUnit>(cfg.totalVcs(), cfg.vcDepth);
-        saOutportArb[static_cast<std::size_t>(p)] =
-            std::make_unique<PriorityArbiter>(NUM_PORTS + 1,
-                                              cfg.agingQuantum);
-    }
+    routeTable.resize(static_cast<std::size_t>(cfg.numNodes()));
+    routing->fillRow(node_id, routeTable);
+    stats = StatGroup(format("router%d", node_id), ROUTER_KEYS);
     nInPorts = NUM_PORTS;
-    for (int p = 0; p < NUM_PORTS + 1; ++p) {
-        saInportArb.push_back(std::make_unique<PriorityArbiter>(
-            static_cast<std::size_t>(cfg.totalVcs()), cfg.agingQuantum));
-    }
-    saVcReqScratch.resize(static_cast<std::size_t>(cfg.totalVcs()));
-    saPortReqScratch.resize(NUM_PORTS + 1);
-    inportWinnerScratch.resize(NUM_PORTS + 1, INVALID_VC);
-    saInportVnetPtr.resize(NUM_PORTS + 1, 0);
-    flitsReceivedCtr = &stats.counter("flits_received");
-    flitsSentCtr = &stats.counter("flits_sent");
-    packetsRoutedCtr = &stats.counter("packets_routed");
-    vaGrantsCtr = &stats.counter("va_grants");
+    inportWinnerScratch.fill(INVALID_VC);
+    flitsReceivedCtr =
+        &stats.counterAt(keyIndex(ROUTER_COUNTERS, "flits_received"));
+    flitsSentCtr = &stats.counterAt(keyIndex(ROUTER_COUNTERS, "flits_sent"));
+    packetsRoutedCtr =
+        &stats.counterAt(keyIndex(ROUTER_COUNTERS, "packets_routed"));
+    vaGrantsCtr = &stats.counterAt(keyIndex(ROUTER_COUNTERS, "va_grants"));
 }
 
 void
@@ -55,7 +73,7 @@ void
 Router::connectOutput(Direction d, Channel *channel)
 {
     INPG_ASSERT(channel != nullptr, "null output channel");
-    outputs[static_cast<std::size_t>(d)]->connect(channel);
+    outputs[static_cast<std::size_t>(d)].connect(channel);
     channel->setCreditSink(this);
     rebuildConnectedLists();
 }
@@ -65,16 +83,15 @@ Router::rebuildConnectedLists()
 {
     // Rebuilt on every connect call (construction-time only). Ascending
     // port order keeps drain iteration identical to a full port scan.
-    flitSources.clear();
+    numFlitSources = 0;
     for (int p = 0; p < numInPorts(); ++p) {
         if (Channel *ch = inChannels[static_cast<std::size_t>(p)])
-            flitSources.push_back({ch, p});
+            flitSources[numFlitSources++] = {ch, p};
     }
-    creditSources.clear();
-    for (int p = 0; p < NUM_PORTS; ++p) {
-        OutputUnit &ou = *outputs[static_cast<std::size_t>(p)];
+    numCreditSources = 0;
+    for (OutputUnit &ou : outputs) {
         if (ou.outChannel())
-            creditSources.push_back({ou.outChannel(), &ou});
+            creditSources[numCreditSources++] = {ou.outChannel(), &ou};
     }
 }
 
@@ -82,8 +99,8 @@ int
 Router::addGeneratorPort()
 {
     INPG_ASSERT(genPort < 0, "generator port already present");
-    // inVcs is already sized for this port (NUM_PORTS + 1).
-    inChannels.push_back(nullptr);
+    // inVcs and the per-port arrays are already sized for this port
+    // (NUM_PORTS + 1); it has no input channel.
     genPort = nInPorts;
     ++nInPorts;
     return genPort;
@@ -159,8 +176,8 @@ Router::debugJson(Cycle now) const
 
     JsonValue creds = JsonValue::object();
     for (int p = 0; p < NUM_PORTS; ++p) {
-        const OutputUnit *ou = outputs[static_cast<std::size_t>(p)].get();
-        if (!ou || !ou->outChannel())
+        const OutputUnit *ou = &outputs[static_cast<std::size_t>(p)];
+        if (!ou->outChannel())
             continue;
         JsonValue per_vc = JsonValue::array();
         for (VcId v = 0; v < ou->numVcs(); ++v) {
@@ -208,11 +225,13 @@ Router::canSleep() const
         return false;
     // Channels must be completely empty, not merely not-ready: an item
     // already latched for a future cycle will not trigger a wake.
-    for (const ConnectedIn &cp : flitSources) {
+    for (const ConnectedIn &cp :
+         std::span(flitSources).first(numFlitSources)) {
         if (!cp.channel->flits.empty())
             return false;
     }
-    for (const ConnectedOut &cp : creditSources) {
+    for (const ConnectedOut &cp :
+         std::span(creditSources).first(numCreditSources)) {
         if (!cp.channel->credits.empty())
             return false;
     }
@@ -223,7 +242,8 @@ void
 Router::drainCredits(Cycle now)
 {
     // Compact list: connected outputs only, in ascending port order.
-    for (const ConnectedOut &cp : creditSources) {
+    for (const ConnectedOut &cp :
+         std::span(creditSources).first(numCreditSources)) {
         while (cp.channel->credits.ready(now)) {
             Credit credit = cp.channel->credits.pop(now);
             cp.unit->receiveCredit(credit);
@@ -237,7 +257,8 @@ Router::drainFlits(Cycle now)
     // Compact list: connected inputs only, in ascending port order (the
     // same order the full port scan used, so telemetry record order and
     // buffer contents are unchanged).
-    for (const ConnectedIn &cp : flitSources) {
+    for (const ConnectedIn &cp :
+         std::span(flitSources).first(numFlitSources)) {
         const int p = cp.port;
         Channel *ch = cp.channel;
         while (ch->flits.ready(now)) {
@@ -308,7 +329,7 @@ Router::tryAllocateVc(int port, VcId v, Cycle now)
         return;
     if (now <= a.headAt[s])
         return; // stage-1 charge: eligible the cycle after buffering
-    OutputUnit &ou = *outputs[static_cast<std::size_t>(a.outPort[s])];
+    OutputUnit &ou = outputs[static_cast<std::size_t>(a.outPort[s])];
     const auto [vc_lo, vc_hi] =
         outVcRange(cfg.vnetOfVc(v), a.outClass[s]);
     VcId out_vc = ou.findFreeVcInRange(vc_lo, vc_hi);
@@ -352,7 +373,7 @@ Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
 {
     VcStateArray &a = inVcs;
     const std::size_t s = a.slot(inport, v);
-    OutputUnit &ou = *outputs[static_cast<std::size_t>(outport)];
+    OutputUnit &ou = outputs[static_cast<std::size_t>(outport)];
     INPG_ASSERT(ou.outChannel() != nullptr,
                 "router %d: traversal into unconnected port %d", id,
                 outport);
@@ -397,7 +418,7 @@ Router::allocateSwitch(Cycle now)
         return;
     const int nports = numInPorts();
     const bool prio = cfg.switchPolicy == SwitchPolicy::Priority;
-    std::vector<VcId> &inportWinner = inportWinnerScratch;
+    auto &inportWinner = inportWinnerScratch;
 
     // SA-I: pick at most one ready VC per input port. Hierarchical
     // arbitration: rotate across virtual networks, apply (OCOR)
@@ -419,7 +440,7 @@ Router::allocateSwitch(Cycle now)
             if (now <= front->bufferedAt)
                 continue;
             OutputUnit &ou =
-                *outputs[static_cast<std::size_t>(a.outPort[s])];
+                outputs[static_cast<std::size_t>(a.outPort[s])];
             if (ou.credits(a.outVc[s]) <= 0)
                 continue;
             valid |= 1u << static_cast<std::uint32_t>(v);
@@ -447,7 +468,7 @@ Router::allocateSwitch(Cycle now)
                 }
             }
         }
-        const int w = saInportArb[static_cast<std::size_t>(p)]->grantMasked(
+        const int w = saInportArb[static_cast<std::size_t>(p)].grantMasked(
             valid, prio ? saVcReqScratch.data() : nullptr);
         INPG_ASSERT(w != INVALID_VC, "no grant from nonzero request mask");
         inportWinner[static_cast<std::size_t>(p)] = w;
@@ -498,7 +519,7 @@ Router::allocateSwitch(Cycle now)
             }
         }
         const int winner =
-            saOutportArb[static_cast<std::size_t>(op)]->grantMasked(
+            saOutportArb[static_cast<std::size_t>(op)].grantMasked(
                 valid, prio ? saPortReqScratch.data() : nullptr);
         INPG_ASSERT(winner >= 0, "no grant from nonzero request mask");
         switchTraverse(winner,

@@ -20,7 +20,7 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -66,6 +66,8 @@ class Router : public Ticking
     void tick(Cycle now) override;
 
     std::string tickName() const override;
+
+    HostPhase hostPhase() const override { return HostPhase::Router; }
 
     NodeId nodeId() const { return id; }
 
@@ -202,16 +204,17 @@ class Router : public Ticking
      */
     VcStateArray inVcs;
 
-    std::array<std::unique_ptr<OutputUnit>, NUM_PORTS> outputs;
+    std::array<OutputUnit, NUM_PORTS> outputs;
 
     /** Channels feeding each input port (credits go back on these). */
-    std::vector<Channel *> inChannels;
+    std::array<Channel *, NUM_PORTS + 1> inChannels{};
 
     /**
      * Compact connected-port lists for the per-cycle drain loops
      * (border routers leave 1-2 ports unconnected; the generator port
      * has no channel at all). Ascending port order preserves the full
-     * scan's iteration order. Rebuilt by rebuildConnectedLists().
+     * scan's iteration order. Rebuilt by rebuildConnectedLists(); the
+     * first numFlitSources / numCreditSources entries are live.
      */
     struct ConnectedIn {
         Channel *channel;
@@ -221,8 +224,10 @@ class Router : public Ticking
         Channel *channel;
         OutputUnit *unit;
     };
-    std::vector<ConnectedIn> flitSources;
-    std::vector<ConnectedOut> creditSources;
+    std::array<ConnectedIn, NUM_PORTS + 1> flitSources{};
+    std::array<ConnectedOut, NUM_PORTS> creditSources{};
+    std::size_t numFlitSources = 0;
+    std::size_t numCreditSources = 0;
 
     void rebuildConnectedLists();
 
@@ -239,18 +244,19 @@ class Router : public Ticking
     std::size_t vaPointer = 0;
 
     /** SA stage arbitration state. */
-    std::vector<std::unique_ptr<PriorityArbiter>> saInportArb;
-    std::array<std::unique_ptr<PriorityArbiter>, NUM_PORTS> saOutportArb;
+    std::array<PriorityArbiter, NUM_PORTS + 1> saInportArb;
+    std::array<PriorityArbiter, NUM_PORTS> saOutportArb;
 
     /** Reused per-cycle scratch (avoids per-tick allocation). */
-    std::vector<PriorityArbiter::Request> saVcReqScratch;
-    std::vector<PriorityArbiter::Request> saPortReqScratch;
-    std::vector<VcId> inportWinnerScratch;
+    std::array<PriorityArbiter::Request, OutputUnit::MAX_VCS>
+        saVcReqScratch{};
+    std::array<PriorityArbiter::Request, NUM_PORTS + 1> saPortReqScratch{};
+    std::array<VcId, NUM_PORTS + 1> inportWinnerScratch{};
 
     /** Per-inport / per-outport vnet rotation for hierarchical SA:
      *  round-robin across virtual networks, priority within one (so
      *  OCOR reorders competing requests without starving responses). */
-    std::vector<std::size_t> saInportVnetPtr;
+    std::array<std::size_t, NUM_PORTS + 1> saInportVnetPtr{};
     std::array<std::size_t, NUM_PORTS> saOutportVnetPtr{};
 
     /** Packet-lifetime telemetry; null when telemetry is off. */
@@ -259,7 +265,7 @@ class Router : public Ticking
     /** Flight recorder; null when off. */
     FlightRecorder *frec = nullptr;
 
-    /** Cached hot counters (string lookup once at construction). */
+    /** Cached hot counters (eager keys, taken by index). */
     std::uint64_t *flitsReceivedCtr = nullptr;
     std::uint64_t *flitsSentCtr = nullptr;
     std::uint64_t *packetsRoutedCtr = nullptr;

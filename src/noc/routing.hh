@@ -16,6 +16,7 @@
 #define INPG_NOC_ROUTING_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,19 +133,23 @@ class RoutingAlgorithm
 
     /**
      * Materialize this router's routing decisions as a dense
-     * destination-indexed table (two bytes per destination) so the RC
+     * destination-indexed row (two bytes per destination) so the RC
      * pipeline stage can replace the virtual call with an array index.
+     * One virtual call per row: each algorithm loops with its own,
+     * statically bound routeEntry().
      */
-    std::vector<RouteEntry>
-    buildTable(NodeId here, int num_nodes) const
-    {
-        std::vector<RouteEntry> table(static_cast<std::size_t>(num_nodes));
-        for (NodeId dst = 0; dst < num_nodes; ++dst)
-            table[static_cast<std::size_t>(dst)] = routeEntry(here, dst);
-        return table;
-    }
+    virtual void fillRow(NodeId here, std::span<RouteEntry> row) const = 0;
 
   protected:
+    /** fillRow() body of every algorithm (non-virtual per entry). */
+    template <typename Algo>
+    static void
+    fillRowWith(const Algo &algo, NodeId here, std::span<RouteEntry> row)
+    {
+        for (std::size_t dst = 0; dst < row.size(); ++dst)
+            row[dst] = algo.Algo::routeEntry(here, static_cast<NodeId>(dst));
+    }
+
     /** Router serving a destination node. */
     NodeId dstRouter(NodeId dst) const { return dst / conc; }
 
@@ -160,6 +165,12 @@ class XYRouting : public RoutingAlgorithm
     {}
 
     RouteEntry routeEntry(NodeId here, NodeId dst) const override;
+
+    void
+    fillRow(NodeId here, std::span<RouteEntry> row) const override
+    {
+        fillRowWith(*this, here, row);
+    }
 
   private:
     MeshShape shape;
@@ -178,6 +189,12 @@ class YXRouting : public RoutingAlgorithm
     {}
 
     RouteEntry routeEntry(NodeId here, NodeId dst) const override;
+
+    void
+    fillRow(NodeId here, std::span<RouteEntry> row) const override
+    {
+        fillRowWith(*this, here, row);
+    }
 
   private:
     MeshShape shape;
@@ -201,6 +218,12 @@ class TorusRouting : public RoutingAlgorithm
                  bool escape_vcs, int concentration = 1);
 
     RouteEntry routeEntry(NodeId here, NodeId dst) const override;
+
+    void
+    fillRow(NodeId here, std::span<RouteEntry> row) const override
+    {
+        fillRowWith(*this, here, row);
+    }
 
   private:
     /** Decision for one dimension; Local when already aligned. */

@@ -204,6 +204,7 @@ Topology::links() const
     // undirected link is the East (resp. South) link of exactly one
     // router, wrap links included.
     std::vector<TopoLink> out;
+    out.reserve(2 * static_cast<std::size_t>(numRouters()));
     for (NodeId r = 0; r < numRouters(); ++r) {
         for (Direction d : {Direction::East, Direction::South}) {
             const NodeId nb = neighbor(r, d);

@@ -15,7 +15,9 @@
  * Flit storage is one pooled ring-buffer arena: capPerVc (vcDepth
  * rounded up to a power of two) FlitPtr slots per VC, with per-slot
  * head/count counters. Buffering a flit is an index store; popping is
- * an index move -- no deque nodes, no per-VC allocation, ever.
+ * an index move -- no deque nodes, no per-VC allocation, ever. The
+ * arena and every per-slot array share one heap block, allocated once
+ * at construction.
  *
  * Candidate tracking is two 32-bit words per port (bit == VC index):
  * VA candidates (Idle VCs holding a head flit, i.e. route-compute
@@ -32,9 +34,10 @@
 #define INPG_NOC_VC_STATE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -55,6 +58,10 @@ class VcStateArray
     };
 
     VcStateArray(int num_ports, int num_vcs, int vc_depth);
+    ~VcStateArray();
+
+    VcStateArray(const VcStateArray &) = delete;
+    VcStateArray &operator=(const VcStateArray &) = delete;
 
     int numPorts() const { return ports; }
     int numVcs() const { return vcsPerPort; }
@@ -127,12 +134,13 @@ class VcStateArray
     }
 
     // ----- per-slot FSM state (public: the router drives the stages) --
+    // Arrays of numPorts() * numVcs() entries inside the shared block.
 
-    std::vector<std::uint8_t> state;
-    std::vector<Direction> outPort;
-    std::vector<std::uint8_t> outClass; ///< dateline class (WaitVc+)
-    std::vector<VcId> outVc;
-    std::vector<Cycle> headAt;
+    std::uint8_t *state = nullptr;
+    Direction *outPort = nullptr;
+    std::uint8_t *outClass = nullptr; ///< dateline class (WaitVc+)
+    VcId *outVc = nullptr;
+    Cycle *headAt = nullptr;
 
     // ----- candidate masks -----
 
@@ -212,10 +220,16 @@ class VcStateArray
     std::uint32_t vaPortMask = 0;
     std::uint32_t saPortMask = 0;
 
+    /** Flit slots in the arena (ports x VCs x capPerVc). */
+    std::size_t arenaSize;
+
+    /** The one allocation every array below lives in. */
+    std::unique_ptr<std::byte[]> block;
+
     /** Pooled flit arena: slot s owns store[s*capPerVc .. +capPerVc). */
-    std::vector<FlitPtr> store;
-    std::vector<std::uint32_t> head;
-    std::vector<std::uint32_t> count;
+    FlitPtr *store = nullptr;
+    std::uint32_t *head = nullptr;
+    std::uint32_t *count = nullptr;
 
     std::size_t occupancy = 0;
 };

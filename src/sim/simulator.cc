@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <string>
 
 #include "common/logging.hh"
 #include "telemetry/telemetry.hh"
@@ -32,29 +31,35 @@ Simulator::addTicking(Ticking *component)
                 "component %s registered twice",
                 component->tickName().c_str());
     component->token.count = &activeCount;
-    const std::string name = component->tickName();
-    PhaseClass phase = PhaseClass::Other;
-    if (name.rfind("router", 0) == 0)
-        phase = PhaseClass::Router;
-    else if (name.rfind("ni", 0) == 0)
-        phase = PhaseClass::Ni;
-    else if (name.rfind("dir", 0) == 0)
-        phase = PhaseClass::Dir;
     const std::size_t idx = slots.size();
-    slots.push_back(Slot{component, phase});
+    slots.push_back(Slot{component, component->hostPhase()});
+    const std::size_t oldCapacity = activeBits.capacity();
     if ((idx >> 6) >= activeBits.size())
         activeBits.push_back(0);
     activeBits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     ++activeCount;
-    // Growing the bitmap may have moved its words; re-bind all tokens
-    // so their word pointers track the new storage. Registration is
-    // setup-time only, so the quadratic re-bind is irrelevant next to
-    // the per-wake virtual call this layout replaces.
-    for (std::size_t i = 0; i < slots.size(); ++i) {
+    // A reallocation of the bitmap moves every word, so every token's
+    // word pointer must follow; otherwise only the newcomer needs
+    // binding. Geometric growth keeps registration linear overall.
+    const std::size_t first =
+        activeBits.capacity() == oldCapacity ? idx : 0;
+    for (std::size_t i = first; i < slots.size(); ++i) {
         SleepToken &t = slots[i].component->token;
         t.word = &activeBits[i >> 6];
         t.bit = std::uint64_t{1} << (i & 63);
     }
+}
+
+bool
+Simulator::tokensBound() const
+{
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        const SleepToken &t = slots[i].component->token;
+        if (t.word != &activeBits[i >> 6] ||
+            t.bit != std::uint64_t{1} << (i & 63) || t.count != &activeCount)
+            return false;
+    }
+    return true;
 }
 
 void
@@ -144,16 +149,16 @@ Simulator::stepProfiled()
             slots[i].component->tick(currentCycle);
             const double dt = secondsSince(t1);
             switch (slots[i].phase) {
-              case PhaseClass::Router:
+              case HostPhase::Router:
                 profile->routersSec += dt;
                 break;
-              case PhaseClass::Ni:
+              case HostPhase::Ni:
                 profile->nisSec += dt;
                 break;
-              case PhaseClass::Dir:
+              case HostPhase::Dir:
                 profile->dirsSec += dt;
                 break;
-              case PhaseClass::Other:
+              case HostPhase::Other:
                 profile->otherSec += dt;
                 break;
             }

@@ -112,9 +112,9 @@ class Simulator
 
     /**
      * Host-side wall-clock breakdown of where simulation time goes,
-     * classified by tick-name prefix. Accumulated only while a profile
-     * is attached (setHostProfile); the unprofiled step() path is
-     * untouched.
+     * classified by each component's Ticking::hostPhase().
+     * Accumulated only while a profile is attached (setHostProfile);
+     * the unprofiled step() path is untouched.
      */
     struct HostPhaseProfile {
         double eventsSec = 0;  ///< EventQueue::runDue
@@ -146,18 +146,16 @@ class Simulator
     /** Registered components (active or not). */
     std::size_t numComponents() const { return slots.size(); }
 
-  private:
-    /** Tick-name-derived bucket of HostPhaseProfile. */
-    enum class PhaseClass : std::uint8_t {
-        Router,
-        Ni,
-        Dir,
-        Other,
-    };
+    /**
+     * True when every registered component's SleepToken points at its
+     * own bit of the current active bitmap (registration invariant).
+     */
+    bool tokensBound() const;
 
+  private:
     struct Slot {
         Ticking *component = nullptr;
-        PhaseClass phase = PhaseClass::Other;
+        HostPhase phase = HostPhase::Other;
     };
 
     void stepProfiled();

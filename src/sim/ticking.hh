@@ -24,8 +24,8 @@ namespace inpg {
  * packed active bitmap (plus the active-set counter), so wake/suspend
  * are a load, a mask and a store on the hot path (Channel pushes wake
  * consumers millions of times per run). The Simulator re-binds every
- * token's word pointer whenever its slot table grows, so the pointers
- * never dangle.
+ * token's word pointer whenever the bitmap's storage moves, so the
+ * pointers never dangle.
  */
 class SleepToken
 {
@@ -62,6 +62,14 @@ class SleepToken
     std::size_t *count = nullptr;
 };
 
+/** Bucket of Simulator::HostPhaseProfile a component's ticks land in. */
+enum class HostPhase : std::uint8_t {
+    Router, ///< routers, big routers included
+    Ni,     ///< network interfaces
+    Dir,    ///< directories
+    Other,  ///< everything else
+};
+
 /**
  * A component evaluated once per simulated cycle while active.
  *
@@ -89,6 +97,9 @@ class Ticking
 
     /** Diagnostic name. */
     virtual std::string tickName() const { return "component"; }
+
+    /** Host-profile bucket, read once at registration. */
+    virtual HostPhase hostPhase() const { return HostPhase::Other; }
 
     /** Activity handle (bound by Simulator::addTicking). */
     SleepToken &sleepToken() { return token; }

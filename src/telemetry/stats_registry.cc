@@ -29,18 +29,19 @@ StatsRegistry::groupToJson(const StatGroup &g)
     JsonValue j = JsonValue::object();
     JsonValue &counters = j["counters"];
     counters = JsonValue::object();
-    for (const auto &[key, val] : g.allCounters())
-        counters[key] = JsonValue(val);
+    g.forEachCounter([&](std::string_view key, std::uint64_t val) {
+        counters[std::string(key)] = JsonValue(val);
+    });
     JsonValue &samples = j["samples"];
     samples = JsonValue::object();
-    for (const auto &[key, s] : g.allSamples()) {
-        JsonValue &sj = samples[key];
+    g.forEachSample([&](std::string_view key, const SampleStat &s) {
+        JsonValue &sj = samples[std::string(key)];
         sj["count"] = JsonValue(s.count());
         sj["sum"] = JsonValue(s.sum());
         sj["mean"] = JsonValue(s.mean());
         sj["min"] = JsonValue(s.min());
         sj["max"] = JsonValue(s.max());
-    }
+    });
     return j;
 }
 

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "common/config.hh"
 #include "common/histogram.hh"
 #include "common/logging.hh"
@@ -309,6 +314,109 @@ TEST(Stats, CountersAndSamples)
     g.reset();
     EXPECT_EQ(g.value("hits"), 0u);
     EXPECT_EQ(g.sampleValue("lat").count(), 0u);
+}
+
+// A component-style static key table: eager counters and samples.
+constexpr std::string_view TEST_COUNTERS[] = {"beta", "delta"};
+constexpr std::string_view TEST_SAMPLES[] = {"lat"};
+static_assert(sortedKeys(TEST_COUNTERS) && sortedKeys(TEST_SAMPLES));
+constexpr StatKeys TEST_KEYS{TEST_COUNTERS, TEST_SAMPLES};
+
+std::vector<std::pair<std::string, std::uint64_t>>
+countersOf(const StatGroup &g)
+{
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    g.forEachCounter([&](std::string_view k, std::uint64_t v) {
+        out.emplace_back(std::string(k), v);
+    });
+    return out;
+}
+
+std::vector<std::string>
+sampleKeysOf(const StatGroup &g)
+{
+    std::vector<std::string> out;
+    g.forEachSample([&](std::string_view k, const SampleStat &) {
+        out.emplace_back(k);
+    });
+    return out;
+}
+
+TEST(Stats, EagerKeysExistAtZeroLazyKeysOnFirstBump)
+{
+    using Row = std::pair<std::string, std::uint64_t>;
+    StatGroup g("grp", TEST_KEYS);
+    EXPECT_EQ(countersOf(g), (std::vector<Row>{{"beta", 0}, {"delta", 0}}));
+    EXPECT_EQ(sampleKeysOf(g), (std::vector<std::string>{"lat"}));
+    EXPECT_EQ(g.value("alpha"), 0u); // reading does not create
+    EXPECT_EQ(g.sampleValue("a_lat").count(), 0u);
+    EXPECT_EQ(countersOf(g).size(), 2u);
+
+    // Lazy keys sort before, between and after the eager ones.
+    ++g.counter("alpha");
+    ++g.counter("gamma");
+    g.counter("zeta") += 5;
+    g.counterAt(keyIndex(TEST_COUNTERS, "delta")) = 7;
+    EXPECT_EQ(&g.counter("delta"),
+              &g.counterAt(keyIndex(TEST_COUNTERS, "delta")));
+    g.sample("z_lat").add(4);
+    g.sample("a_lat").add(2);
+    g.sampleAt(keyIndex(TEST_SAMPLES, "lat")).add(3);
+    EXPECT_EQ(&g.sample("lat"), &g.sampleAt(0));
+    EXPECT_EQ(countersOf(g),
+              (std::vector<Row>{{"alpha", 1},
+                                {"beta", 0},
+                                {"delta", 7},
+                                {"gamma", 1},
+                                {"zeta", 5}}));
+    EXPECT_EQ(sampleKeysOf(g),
+              (std::vector<std::string>{"a_lat", "lat", "z_lat"}));
+    EXPECT_EQ(g.dump(), "grp.alpha = 1\n"
+                        "grp.beta = 0\n"
+                        "grp.delta = 7\n"
+                        "grp.gamma = 1\n"
+                        "grp.zeta = 5\n"
+                        "grp.a_lat = mean 2 min 2 max 2 n 1\n"
+                        "grp.lat = mean 3 min 3 max 3 n 1\n"
+                        "grp.z_lat = mean 4 min 4 max 4 n 1\n");
+
+    // reset() zeroes values but keeps every key, eager and lazy.
+    g.reset();
+    EXPECT_EQ(countersOf(g),
+              (std::vector<Row>{{"alpha", 0},
+                                {"beta", 0},
+                                {"delta", 0},
+                                {"gamma", 0},
+                                {"zeta", 0}}));
+    EXPECT_EQ(sampleKeysOf(g),
+              (std::vector<std::string>{"a_lat", "lat", "z_lat"}));
+    EXPECT_EQ(g.sampleValue("lat").count(), 0u);
+}
+
+TEST(Stats, ConstructorPointersSurviveTheMoveIntoTheMember)
+{
+    // The component pattern: the member is default-built, then
+    // `stats = StatGroup(...)` moves the real group in, and the
+    // constructor caches pointers afterwards -- or before, from a
+    // local group moved later. Both must stay live.
+    StatGroup member;
+    StatGroup local("comp", TEST_KEYS);
+    std::uint64_t *eager = &local.counterAt(0);
+    SampleStat *sample = &local.sampleAt(0);
+    std::uint64_t *lazy = &local.counter("lazy");
+    member = std::move(local);
+    ++*eager;
+    sample->add(9);
+    *lazy += 3;
+    EXPECT_EQ(member.groupName(), "comp");
+    EXPECT_EQ(member.value("beta"), 1u);
+    EXPECT_EQ(member.sampleValue("lat").count(), 1u);
+    EXPECT_EQ(member.value("lazy"), 3u);
+
+    StatGroup moved(std::move(member));
+    ++*eager;
+    EXPECT_EQ(moved.value("beta"), 2u);
+    EXPECT_EQ(&moved.counter("lazy"), lazy);
 }
 
 TEST(Logging, FatalThrowsPanicKillsNot)

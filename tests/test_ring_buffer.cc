@@ -103,6 +103,97 @@ TEST(RingBuffer, ClearResetsAndDropsOwnedElements)
     EXPECT_EQ(rb.pop_front(), "d");
 }
 
+/** Drain a buffer into a vector, oldest first. */
+template <typename RB>
+std::vector<std::string>
+drain(RB &rb)
+{
+    std::vector<std::string> out;
+    while (!rb.empty())
+        out.push_back(rb.pop_front());
+    return out;
+}
+
+TEST(RingBuffer, FifoOrderHoldsAcrossTheInlineToHeapSpill)
+{
+    RingBuffer<std::string, 4> rb;
+    rb.push_back("x");
+    EXPECT_EQ(rb.pop_front(), "x"); // head off zero: the spill wraps
+    for (int i = 0; i < 4; ++i)
+        rb.push_back(std::to_string(i)); // fills the inline array
+    EXPECT_EQ(rb.capacity(), 4u);
+    rb.push_back("4"); // spills to the heap
+    rb.push_back("5");
+    EXPECT_EQ(rb.capacity(), 8u);
+    EXPECT_EQ(drain(rb),
+              (std::vector<std::string>{"0", "1", "2", "3", "4", "5"}));
+}
+
+/** A buffer with a wrapped head, inline (n <= 4) or spilled. */
+RingBuffer<std::string, 4>
+filled(int n)
+{
+    RingBuffer<std::string, 4> rb;
+    rb.push_back("skip");
+    rb.pop_front();
+    for (int i = 0; i < n; ++i)
+        rb.push_back(std::to_string(i));
+    return rb;
+}
+
+TEST(RingBuffer, MoveConstructInlineAndSpilled)
+{
+    for (int n : {3, 6}) {
+        RingBuffer<std::string, 4> src = filled(n);
+        const std::size_t cap = src.capacity();
+        RingBuffer<std::string, 4> dst(std::move(src));
+        EXPECT_EQ(dst.capacity(), cap);
+        EXPECT_TRUE(src.empty()); // NOLINT(bugprone-use-after-move)
+        EXPECT_EQ(src.capacity(), 4u);
+        std::vector<std::string> want;
+        for (int i = 0; i < n; ++i)
+            want.push_back(std::to_string(i));
+        EXPECT_EQ(drain(dst), want) << "n=" << n;
+        // The moved-from buffer is reusable.
+        src.push_back("again");
+        EXPECT_EQ(src.pop_front(), "again");
+    }
+}
+
+TEST(RingBuffer, MoveAssignBetweenInlineAndSpilledStates)
+{
+    for (int from : {2, 7}) {
+        for (int to : {1, 9}) {
+            RingBuffer<std::string, 4> src = filled(from);
+            RingBuffer<std::string, 4> dst = filled(to);
+            dst = std::move(src);
+            std::vector<std::string> want;
+            for (int i = 0; i < from; ++i)
+                want.push_back(std::to_string(i));
+            EXPECT_EQ(drain(dst), want) << from << " over " << to;
+            EXPECT_TRUE(src.empty()); // NOLINT(bugprone-use-after-move)
+        }
+    }
+}
+
+TEST(RingBuffer, VectorOfBuffersKeepsContentsAcrossReallocation)
+{
+    // The NI keeps one buffer per vnet in a std::vector, which moves
+    // its elements when it grows.
+    std::vector<RingBuffer<std::string, 2>> queues(1);
+    queues[0].push_back("a");
+    queues[0].push_back("b");
+    queues[0].push_back("c"); // spilled
+    for (int i = 1; i < 9; ++i) {
+        queues.emplace_back();
+        queues.back().push_back(std::to_string(i)); // inline
+    }
+    EXPECT_EQ(drain(queues[0]), (std::vector<std::string>{"a", "b", "c"}));
+    for (int i = 1; i < 9; ++i)
+        EXPECT_EQ(queues[static_cast<std::size_t>(i)].pop_front(),
+                  std::to_string(i));
+}
+
 // ---------------------------------------------------------------------
 // VcStateArray pooled rings
 // ---------------------------------------------------------------------

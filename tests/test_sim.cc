@@ -3,6 +3,9 @@
  * Simulation kernel tests: event queue ordering and the cycle loop.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hh"
@@ -225,6 +228,63 @@ TEST(Simulator, RunUntilEveryCycleSeesClockPredicatesWhileIdle)
     EXPECT_TRUE(ok);
     EXPECT_EQ(sim.now(), 17u);
     EXPECT_GT(sim.cyclesFastForwarded(), 0u);
+}
+
+TEST(Simulator, TokensFollowTheBitmapAcrossReallocations)
+{
+    // 130 components span three bitmap words, so registration grows
+    // (and reallocates) the bitmap at least twice; every token must be
+    // re-bound to the moved words, not just the newest one.
+    struct OrderTick : Ticking {
+        std::vector<int> *order = nullptr;
+        int id = 0;
+
+        void
+        tick(Cycle) override
+        {
+            order->push_back(id);
+        }
+    };
+    constexpr int N = 130;
+    std::vector<int> order;
+    std::vector<OrderTick> comps(N);
+    Simulator sim;
+    for (int i = 0; i < N; ++i) {
+        comps[static_cast<std::size_t>(i)].order = &order;
+        comps[static_cast<std::size_t>(i)].id = i;
+        sim.addTicking(&comps[static_cast<std::size_t>(i)]);
+        ASSERT_TRUE(sim.tokensBound()) << "after registering " << i;
+    }
+    EXPECT_EQ(sim.activeComponents(), static_cast<std::size_t>(N));
+
+    std::vector<int> all(N);
+    for (int i = 0; i < N; ++i)
+        all[static_cast<std::size_t>(i)] = i;
+    sim.step();
+    EXPECT_EQ(order, all);
+
+    // One member of every word, including the first-registered ones
+    // whose tokens were bound before both reallocations.
+    const std::vector<int> sleepers = {0, 5, 63, 64, 100, 128, 129};
+    for (int i : sleepers)
+        comps[static_cast<std::size_t>(i)].sleepToken().suspend();
+    EXPECT_EQ(sim.activeComponents(), N - sleepers.size());
+    std::vector<int> awake;
+    for (int i = 0; i < N; ++i)
+        if (std::find(sleepers.begin(), sleepers.end(), i) ==
+            sleepers.end())
+            awake.push_back(i);
+    order.clear();
+    sim.step();
+    EXPECT_EQ(order, awake);
+
+    for (int i : sleepers)
+        comps[static_cast<std::size_t>(i)].sleepToken().wake();
+    EXPECT_EQ(sim.activeComponents(), static_cast<std::size_t>(N));
+    order.clear();
+    sim.step();
+    EXPECT_EQ(order, all);
+    EXPECT_TRUE(sim.tokensBound());
 }
 
 TEST(SleepToken, UnboundTokenIsANoOp)

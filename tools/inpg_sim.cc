@@ -102,17 +102,18 @@ runWithDump(const RunConfig &rc, bool dump)
     StatGroup dirs("dirs.total");
     StatGroup l1s("l1s.total");
     Network &dump_net = system.coherent().network();
+    // Accumulate each component's counters into a total group.
+    auto sumInto = [](StatGroup &total) {
+        return [&total](std::string_view key, std::uint64_t v) {
+            total.counter(key) += v;
+        };
+    };
     for (NodeId r = 0; r < dump_net.numRouters(); ++r)
-        for (const auto &kv :
-             dump_net.router(r).stats.allCounters())
-            routers.counter(kv.first) += kv.second;
+        dump_net.router(r).stats.forEachCounter(sumInto(routers));
     for (NodeId n = 0; n < sys_cfg.numCores(); ++n) {
-        for (const auto &kv :
-             system.coherent().directory(n).stats.allCounters())
-            dirs.counter(kv.first) += kv.second;
-        for (const auto &kv :
-             system.coherent().l1(n).stats.allCounters())
-            l1s.counter(kv.first) += kv.second;
+        system.coherent().directory(n).stats.forEachCounter(
+            sumInto(dirs));
+        system.coherent().l1(n).stats.forEachCounter(sumInto(l1s));
     }
     std::fputs(routers.dump().c_str(), stdout);
     std::fputs(dirs.dump().c_str(), stdout);
