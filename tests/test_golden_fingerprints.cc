@@ -8,7 +8,10 @@
  * statsSnapshot() bytes, so any change to simulated behavior on any
  * fabric shows up as a diff here -- not only as a disagreement between
  * two implementations that could drift together. A seeded protocol
- * hang pins the watchdog's hang-report bytes the same way.
+ * hang pins the watchdog's hang-report bytes the same way, and two
+ * fully instrumented runs pin every telemetry output: the stats
+ * snapshot with all consumers on, the Chrome-trace document and the
+ * text-trace lines.
  *
  * Regenerate after a deliberate behavior change with
  *     INPG_REGEN_GOLDEN=1 ./build/tests/inpg_tests \
@@ -28,6 +31,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/trace.hh"
 #include "harness/system.hh"
 #include "noc/network.hh"
 #include "noc/topology.hh"
@@ -53,6 +57,7 @@ const char *const CASE_ORDER[] = {
     "mesh8x8_freq_inpgocor",  "mesh4x4_vc3_freq_inpgocor",
     "torus4x4_vc4_ferret_inpgocor", "mesh4x4_vc8_freq_inpgocor",
     "hang_mesh4x4_tas",
+    "telemetry_mesh4x4_freq_tas_inpg", "telemetry_mesh8x8_freq_inpg",
 };
 
 std::uint64_t
@@ -64,6 +69,16 @@ fnv1a(const std::string &bytes)
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+/** FNV-1a folded over successive chunks. */
+void
+fnv1aAdd(std::uint64_t &h, const std::string &bytes)
+{
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
 }
 
 std::string
@@ -285,6 +300,120 @@ TEST(GoldenFingerprintsHang, SeededHangReportMatchesPinned)
                 "report_bytes=" + std::to_string(report.size()) +
                     " report_fnv1a=" + hex64(fnv1a(report)));
 }
+
+/** A fully instrumented run: every telemetry output is hashed. */
+struct TelemetryCase {
+    const char *name;
+    const char *topology;
+    LockKind lock;
+    double csScale;
+};
+
+void
+PrintTo(const TelemetryCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+const TelemetryCase TELEMETRY_CASES[] = {
+    {"telemetry_mesh4x4_freq_tas_inpg", "mesh:4x4", LockKind::Tas, 0.05},
+    {"telemetry_mesh8x8_freq_inpg", "mesh:8x8", LockKind::Qsl, 0.02},
+};
+
+/** Text-trace lines hashed as they arrive (newline-terminated). */
+struct TextTraceHash {
+    TextTraceHash()
+    {
+        Trace::enable("all");
+        previous = Trace::setSink([this](const std::string &line) {
+            fnv1aAdd(hash, line);
+            fnv1aAdd(hash, "\n");
+            ++lines;
+        });
+    }
+
+    ~TextTraceHash()
+    {
+        Trace::setSink(previous);
+        Trace::disable("all");
+    }
+
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::uint64_t lines = 0;
+    Trace::Sink previous;
+};
+
+/**
+ * One iNPG freq run of `c` with the text trace capturing every
+ * channel; `spec` is the telemetry spec. Returns the golden line for
+ * the run's outputs (without the text-trace fields) and fills
+ * `text_fields` with those.
+ */
+std::string
+instrumentedRun(const TelemetryCase &c, const char *spec,
+                std::string &text_fields)
+{
+    SystemConfig cfg;
+    TopologySpec::parse(c.topology).applyTo(cfg.noc);
+    cfg.mechanism = Mechanism::Inpg;
+    cfg.lockKind = c.lock;
+    cfg.telemetry.applySpec(spec);
+    cfg.finalize();
+
+    TextTraceHash text;
+    System system(cfg);
+    Workload::Params wp;
+    wp.profile = benchmarkByName("freq");
+    wp.threads = cfg.numCores();
+    wp.csScale = c.csScale;
+    wp.lockKind = cfg.lockKind;
+    wp.seed = cfg.seed;
+    Workload workload(wp, system.coherent(), system.locks(),
+                      system.sim());
+    workload.start();
+    system.runUntil([&] { return workload.done(); });
+
+    text_fields = "text_lines=" + std::to_string(text.lines) +
+                  " text_fnv1a=" + hex64(text.hash);
+    std::ostringstream os;
+    os << "sim_cycles=" << system.sim().now();
+    if (Telemetry *t = system.telemetry(); t && t->trace) {
+        const std::string chrome = t->trace->writeJson();
+        os << " stats_fnv1a="
+           << hex64(fnv1a(system.statsSnapshot().dump()))
+           << " chrome_bytes=" << chrome.size()
+           << " chrome_fnv1a=" << hex64(fnv1a(chrome));
+    }
+    return os.str();
+}
+
+class GoldenFingerprintsTelemetry
+    : public ::testing::TestWithParam<TelemetryCase>
+{};
+
+/**
+ * telemetry=all pins the stats sections no other case covers (lco,
+ * trace, recorder, timeseries, noc.packets, kernel.*) plus the Chrome
+ * trace and the text trace; the text lines must not depend on which
+ * telemetry consumers are on.
+ */
+TEST_P(GoldenFingerprintsTelemetry, MatchesPinned)
+{
+    std::string text_all;
+    const std::string all = instrumentedRun(GetParam(), "all", text_all);
+    std::string text_off;
+    const std::string off = instrumentedRun(GetParam(), "off", text_off);
+    EXPECT_EQ(text_off, text_all);
+    EXPECT_EQ(off, all.substr(0, all.find(' ')));
+    checkGolden(GetParam().name, all + " " + text_all);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Instrumented, GoldenFingerprintsTelemetry,
+    ::testing::ValuesIn(TELEMETRY_CASES),
+    [](const ::testing::TestParamInfo<TelemetryCase> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace inpg
