@@ -54,6 +54,23 @@ CoherentSystem::CoherentSystem(const NocConfig &noc_cfg,
                     l1p->receiveMessage(msg, now);
             });
     }
+
+    // Chrome-trace track titles: routers, then NIs, then directories.
+    Telemetry *t = sim.telemetry();
+    if (!t || !t->trace)
+        return;
+    for (NodeId r = 0; r < net->numRouters(); ++r)
+        t->trace->nameTrack(TrackGroup::Routers, r,
+                            format("%srouter %d",
+                                   net->router(r).isBigRouter() ? "big "
+                                                                : "",
+                                   r));
+    for (NodeId r = 0; r < net->numRouters(); ++r)
+        t->trace->nameTrack(TrackGroup::NetworkInterfaces, r,
+                            format("ni %d", r));
+    for (NodeId n = 0; n < noc_cfg.numNodes(); ++n)
+        t->trace->nameTrack(TrackGroup::Directories, n,
+                            format("dir %d", n));
 }
 
 L1Controller &
@@ -125,20 +142,6 @@ CoherentSystem::setOpLog(const L1Controller::OpLogFn &fn)
 {
     for (auto &l1 : l1s)
         l1->setOpLog(fn);
-}
-
-void
-CoherentSystem::setTelemetry(Telemetry *t)
-{
-    net->setTelemetry(t);
-    if (t && t->trace) {
-        for (const auto &d : dirs) {
-            t->trace->nameTrack(
-                TrackGroup::Directories,
-                static_cast<std::uint32_t>(d->nodeId()),
-                format("dir %d", d->nodeId()));
-        }
-    }
 }
 
 } // namespace inpg

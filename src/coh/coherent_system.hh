@@ -60,13 +60,6 @@ class CoherentSystem
     /** Attach one op-log sink to every L1. */
     void setOpLog(const L1Controller::OpLogFn &fn);
 
-    /**
-     * Forward the telemetry facade into the NoC (packet tracking) and
-     * name the coherence-side trace tracks. The L1s and directories
-     * read it lazily through the simulator.
-     */
-    void setTelemetry(Telemetry *t);
-
   private:
     CohConfig cohCfg;
     std::unique_ptr<CohStats> stats;

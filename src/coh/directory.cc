@@ -2,7 +2,6 @@
 
 #include "coh/protocol_tables.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "telemetry/telemetry.hh"
 
 namespace inpg {
@@ -100,13 +99,11 @@ Directory::receiveMessage(const CohMsgPtr &msg, Cycle now)
     INPG_ASSERT(cfg.homeOf(msg->addr) == node,
                 "message homed at %d delivered to directory %d",
                 cfg.homeOf(msg->addr), node);
-    (void)now;
     queue.push_back(msg);
     ++*msgsReceivedCtr;
-    if (msg->kind == CohMsgKind::GetS || msg->kind == CohMsgKind::GetX) {
-        Telemetry *t = sim.telemetry();
-        if (t && t->lco)
-            t->lco->dirArrived(msg->requester, now);
+    if (Telemetry *t = sim.telemetry()) {
+        t->emit({SimEventKind::DirArrive, now, node, msg->addr, 0,
+                 msg.get()});
     }
     wakeSelf();
 }
@@ -131,11 +128,9 @@ Directory::tick(Cycle now)
                                                        : cfg.l2Latency;
     busyUntil = now + cost;
 
-    if (Telemetry *t = sim.telemetry(); t && t->trace) {
-        t->trace->duration(TrackGroup::Directories,
-                           static_cast<std::uint32_t>(node),
-                           cohMsgKindName(msg->kind), now, cost,
-                           static_cast<std::uint64_t>(msg->requester));
+    if (Telemetry *t = sim.telemetry()) {
+        t->emit({SimEventKind::DirService, now, node, msg->addr,
+                 static_cast<std::int64_t>(cost), msg.get()});
     }
 
     DirEntry &e = entryFor(cfg.lineBase(msg->addr));
@@ -162,16 +157,7 @@ Directory::tick(Cycle now)
 void
 Directory::process(const CohMsgPtr &msg, Cycle now)
 {
-    INPG_TRACE_LINE("dir", now, "DIR %d PROC %s", node,
-                    msg->toString().c_str());
     DirEntry &e = entryFor(cfg.lineBase(msg->addr));
-    if (msg->kind == CohMsgKind::GetS || msg->kind == CohMsgKind::GetX) {
-        // Fires when the bank finishes serving the request, so the
-        // closed span covers queue wait + occupancy (+ DRAM).
-        Telemetry *t = sim.telemetry();
-        if (t && t->lco)
-            t->lco->dirServed(msg->requester, now);
-    }
 
     // Table dispatch: classify the entry against the requester and the
     // message onto the declarative directory table; an unhandled or
@@ -180,17 +166,16 @@ Directory::process(const CohMsgPtr &msg, Cycle now)
     // panics with the precise coordinates.
     const DirEvent ev = dirEventFor(msg);
     const DirState st = dirStateFor(e, msg->requester);
+    // The request's directory-service leg (and a big router's early-Inv
+    // credit) closes in the telemetry consumer.
+    if (Telemetry *t = sim.telemetry()) {
+        t->emit({SimEventKind::DirProcess, now, node, msg->addr,
+                 msg->requester, msg.get(), nullptr, "dir",
+                 dirStateName(static_cast<int>(st)),
+                 dirEventName(static_cast<int>(ev))});
+    }
     const ProtoTransition &tr = directoryProtocolTable().require(
         static_cast<int>(st), static_cast<int>(ev));
-
-    if (Telemetry *t = sim.telemetry(); t && t->recorder) {
-        // Table/state/event names are static strings: stored by
-        // pointer, no formatting on the hot path.
-        t->recorder->record(FrKind::ProtoDispatch, now, node, msg->addr,
-                            static_cast<std::uint64_t>(msg->requester),
-                            "dir", dirStateName(static_cast<int>(st)),
-                            dirEventName(static_cast<int>(ev)));
-    }
 
     switch (ev) {
       case DirEvent::GetS:
@@ -199,14 +184,8 @@ Directory::process(const CohMsgPtr &msg, Cycle now)
       case DirEvent::GetX:
       case DirEvent::GetXDemotable:
         ++stats.counter("getx");
-        if (msg->earlyInvalidated) {
+        if (msg->earlyInvalidated)
             ++stats.counter("getx_early_invalidated");
-            // The big router pre-invalidated on this request's behalf:
-            // mark the requester's acquire as big-router-served.
-            Telemetry *t = sim.telemetry();
-            if (t && t->lco)
-                t->lco->earlyInvSeen(msg->requester);
-        }
         break;
       case DirEvent::EarlyInvAck:
         INPG_ASSERT(msg->fromBigRouter,
@@ -487,23 +466,19 @@ void
 Directory::send(const CohMsgPtr &msg, NodeId dst, Cycle now)
 {
     ++sendCounter;
-    if (cfg.dropDirResponseNth != 0 &&
-        sendCounter == cfg.dropDirResponseNth) {
-        // Test-only hang seeder (see CohConfig::dropDirResponseNth):
-        // swallow this message deterministically so the watchdog path
-        // can be exercised end-to-end.
-        ++stats.counter("msgs_dropped_testknob");
-        if (Telemetry *t = sim.telemetry(); t && t->recorder) {
-            t->recorder->record(FrKind::MsgDrop, now, node, msg->addr,
-                                static_cast<std::uint64_t>(dst),
-                                cohMsgKindName(msg->kind));
-        }
-        return;
+    // Test-only hang seeder (see CohConfig::dropDirResponseNth):
+    // swallow this message deterministically so the watchdog path can
+    // be exercised end-to-end.
+    const bool drop = cfg.dropDirResponseNth != 0 &&
+                      sendCounter == cfg.dropDirResponseNth;
+    if (Telemetry *t = sim.telemetry()) {
+        t->emit({drop ? SimEventKind::DirDrop : SimEventKind::DirSend, now,
+                 node, msg->addr, dst, msg.get(), nullptr,
+                 cohMsgKindName(msg->kind)});
     }
-    if (Telemetry *t = sim.telemetry(); t && t->recorder) {
-        t->recorder->record(FrKind::MsgSend, now, node, msg->addr,
-                            static_cast<std::uint64_t>(dst),
-                            cohMsgKindName(msg->kind));
+    if (drop) {
+        ++stats.counter("msgs_dropped_testknob");
+        return;
     }
     const int flits = carriesData(msg->kind) ? net.config().dataPacketFlits
                                              : net.config().ctrlPacketFlits;

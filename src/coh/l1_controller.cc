@@ -4,7 +4,6 @@
 
 #include "coh/protocol_tables.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "telemetry/telemetry.hh"
 
 namespace inpg {
@@ -51,14 +50,6 @@ constexpr std::string_view L1_SAMPLES[] = {
 };
 static_assert(sortedKeys(L1_COUNTERS) && sortedKeys(L1_SAMPLES));
 constexpr StatKeys L1_KEYS{L1_COUNTERS, L1_SAMPLES};
-
-/** LCO tracker when telemetry is enabled with lco, else nullptr. */
-inline LcoTracker *
-lcoOf(Simulator &sim)
-{
-    Telemetry *t = sim.telemetry();
-    return t ? t->lco : nullptr;
-}
 
 } // namespace
 
@@ -208,8 +199,8 @@ L1Controller::startOperation(Pending &&op)
                 core);
     op.issuedAt = sim.now();
     ++*opsIssuedCtr;
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->opIssued(core, op.issuedAt);
+    if (Telemetry *t = sim.telemetry())
+        t->emit({SimEventKind::L1OpIssued, op.issuedAt, core});
     pending.emplace(std::move(op));
     // The L1 array access takes l1Latency cycles; hit/miss is decided
     // when it completes (the line may change state in between).
@@ -296,8 +287,6 @@ L1Controller::beginMiss(Pending &&op)
     const NodeId home = cfg.homeOf(op.addr);
     const int prio = nextPriority;
     nextPriority = 0;
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->requestSent(core, now);
     pending.emplace(std::move(op));
     send(msg, home, now, prio);
 }
@@ -310,8 +299,8 @@ L1Controller::executePendingOp(Cycle now)
     Pending op = std::move(*pending);
     pending.reset();
     ++*opsCompletedCtr;
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->opCompleted(core, now);
+    if (Telemetry *t = sim.telemetry())
+        t->emit({SimEventKind::L1OpCompleted, now, core});
 
     Line &l = line(op.addr);
 
@@ -540,25 +529,22 @@ L1Controller::pendingAddrForAssert() const
 void
 L1Controller::receiveMessage(const CohMsgPtr &msg, Cycle now)
 {
-    INPG_TRACE_LINE("l1", now, "L1 %d RECV %s", core,
-                    msg->toString().c_str());
     // Table dispatch: classify the message onto the L1 event space
     // (GetS/GetX panic there -- they never target an L1) and require a
     // declared-legal transition for the current stable line state. A
     // pair the table marks illegal panics with the declared reason
     // instead of tripping a downstream assertion or hanging.
+    // The receive's LCO legs (response, InvAck, early-Inv credit)
+    // close in the telemetry consumer, before the handler runs.
     const L1Event ev = l1EventForMsgKind(msg->kind);
     const int st = static_cast<int>(lineState(msg->addr));
+    if (Telemetry *t = sim.telemetry()) {
+        t->emit({SimEventKind::L1Recv, now, node, msg->addr, core,
+                 msg.get(), nullptr, "l1", l1TableStateName(st),
+                 l1EventName(static_cast<int>(ev))});
+    }
     const ProtoTransition &tr =
         l1ProtocolTable().require(st, static_cast<int>(ev));
-
-    if (Telemetry *t = sim.telemetry(); t && t->recorder) {
-        // Static table/state/event names; stored by pointer.
-        t->recorder->record(FrKind::ProtoDispatch, now, node, msg->addr,
-                            static_cast<std::uint64_t>(core), "l1",
-                            l1TableStateName(st),
-                            l1EventName(static_cast<int>(ev)));
-    }
 
     switch (static_cast<L1Action>(tr.action)) {
       case L1Action::AckInvalid:
@@ -619,11 +605,6 @@ L1Controller::handleInv(const CohMsgPtr &msg, Cycle now)
     if (pending && pending->addr == msg->addr)
         pending->invWhileFilling = true;
 
-    if (msg->fromBigRouter) {
-        if (LcoTracker *lco = lcoOf(sim))
-            lco->earlyInvSeen(msg->requester);
-    }
-
     auto ack = std::make_shared<CoherenceMsg>();
     ack->kind = CohMsgKind::InvAck;
     ack->addr = msg->addr;
@@ -677,8 +658,6 @@ L1Controller::handleData(const CohMsgPtr &msg, Cycle now)
                     (!pending->exclusive || msg->demoted),
                 "core %d got unexpected %s", core,
                 msg->toString().c_str());
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->responseArrived(core, now);
     Line &l = line(msg->addr);
     pending->hasData = true;
     pending->data = msg->value;
@@ -698,8 +677,6 @@ L1Controller::handleDataExcl(const CohMsgPtr &msg, Cycle now)
     INPG_ASSERT(pending && pending->addr == msg->addr,
                 "core %d got unexpected %s", core,
                 msg->toString().c_str());
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->responseArrived(core, now);
     if (!pending->exclusive) {
         // GetS answered exclusively: no other copy exists.
         INPG_ASSERT(msg->ackCount == 0, "DataExcl for a read with acks");
@@ -733,8 +710,6 @@ L1Controller::handleAckCount(const CohMsgPtr &msg, Cycle now)
                 msg->toString().c_str());
     INPG_ASSERT(!pending->hasAckInfo, "core %d got duplicate ack info",
                 core);
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->responseArrived(core, now);
     pending->hasAckInfo = true;
     pending->ackCount = msg->ackCount;
     if (msg->ownerUpgrade) {
@@ -765,8 +740,6 @@ L1Controller::handleInvAck(const CohMsgPtr &msg, Cycle now)
         cohStats->recordInvAckRtt(msg->requester,
                                   now - msg->invGeneratedAt,
                                   msg->fromBigRouter);
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->invAckArrived(core, now, msg->fromBigRouter);
     maybeCompleteExclusive(now);
 }
 
@@ -801,8 +774,10 @@ void
 L1Controller::send(const CohMsgPtr &msg, NodeId dst, Cycle now,
                    int priority)
 {
-    INPG_TRACE_LINE("l1", now, "L1 %d SEND->%d %s", core, dst,
-                    msg->toString().c_str());
+    if (Telemetry *t = sim.telemetry()) {
+        t->emit({SimEventKind::L1Send, now, core, msg->addr, dst,
+                 msg.get()});
+    }
     const int flits = carriesData(msg->kind) ? net.config().dataPacketFlits
                                              : net.config().ctrlPacketFlits;
     PacketPtr pkt =

@@ -1,6 +1,5 @@
 #include "common/trace.hh"
 
-#include <atomic> // lint:allow(threading-outside-parallel)
 #include <cstdio>
 #include <cstdlib>
 #include <mutex> // lint:allow(threading-outside-parallel)
@@ -14,19 +13,32 @@ namespace inpg {
 namespace {
 
 /**
- * Process-wide state. The sweep runner traces from several worker
- * threads at once, so emission and all mutation are serialized by
- * `mtx`; the hot enabled() check stays lock-free via the mirrored
- * atomics (a disabled channel costs three relaxed loads and never
- * takes the lock). Sinks run under the lock -- that is what keeps
- * concurrent lines from tearing -- so a sink must not call back into
- * Trace.
+ * Process-wide state, seeded from INPG_TRACE on first use (a function
+ * static, so the environment is read once even when several threads
+ * get there together). The sweep runner traces from several worker
+ * threads at once, so every access holds `mtx`; sinks run under it --
+ * that is what keeps concurrent lines from tearing -- so a sink must
+ * not call back into Trace.
  */
 struct TraceState {
-    std::atomic<bool> envChecked{false}; // lint:allow(threading-outside-parallel)
-    std::atomic<bool> allEnabled{false}; // lint:allow(threading-outside-parallel)
-    std::atomic<std::size_t> channelCount{0}; // lint:allow(threading-outside-parallel)
-    std::mutex mtx; ///< guards channels, sink, and emission // lint:allow(threading-outside-parallel)
+    TraceState()
+    {
+        const char *env = std::getenv("INPG_TRACE");
+        if (!env)
+            return;
+        const std::string spec = trim(env);
+        // Backwards compatible: INPG_TRACE=1 means everything.
+        if (spec == "1" || toLower(spec) == "all") {
+            all = true;
+            return;
+        }
+        for (const auto &ch : split(spec, ','))
+            if (!trim(ch).empty())
+                channels.insert(toLower(trim(ch)));
+    }
+
+    std::mutex mtx; // lint:allow(threading-outside-parallel)
+    bool all = false;
     std::set<std::string> channels;
     Trace::Sink sink;
 };
@@ -38,86 +50,55 @@ state()
     return s;
 }
 
-void
-lazyInit()
-{
-    if (!state().envChecked.load(std::memory_order_acquire))
-        Trace::initFromEnvironment();
-}
+using Lock = std::lock_guard<std::mutex>; // lint:allow(threading-outside-parallel)
 
 } // namespace
 
 void
-Trace::initFromEnvironment()
-{
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mtx); // lint:allow(threading-outside-parallel)
-    const char *env = std::getenv("INPG_TRACE");
-    if (env) {
-        std::string spec = trim(env);
-        // Backwards compatible: INPG_TRACE=1 means everything.
-        if (spec == "1" || toLower(spec) == "all") {
-            s.allEnabled.store(true, std::memory_order_relaxed);
-        } else {
-            for (const auto &ch : split(spec, ','))
-                if (!trim(ch).empty())
-                    s.channels.insert(toLower(trim(ch)));
-            s.channelCount.store(s.channels.size(),
-                                 std::memory_order_relaxed);
-        }
-    }
-    s.envChecked.store(true, std::memory_order_release);
-}
-
-void
 Trace::enable(const std::string &channel)
 {
-    lazyInit();
     TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mtx); // lint:allow(threading-outside-parallel)
-    if (toLower(channel) == "all") {
-        s.allEnabled.store(true, std::memory_order_relaxed);
-    } else {
+    Lock lock(s.mtx);
+    if (toLower(channel) == "all")
+        s.all = true;
+    else
         s.channels.insert(toLower(channel));
-        s.channelCount.store(s.channels.size(),
-                             std::memory_order_relaxed);
-    }
 }
 
 void
 Trace::disable(const std::string &channel)
 {
-    lazyInit();
     TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mtx); // lint:allow(threading-outside-parallel)
+    Lock lock(s.mtx);
     if (toLower(channel) == "all") {
-        s.allEnabled.store(false, std::memory_order_relaxed);
+        s.all = false;
         s.channels.clear();
     } else {
         s.channels.erase(toLower(channel));
     }
-    s.channelCount.store(s.channels.size(), std::memory_order_relaxed);
 }
 
 bool
 Trace::enabled(const std::string &channel)
 {
-    lazyInit();
     TraceState &s = state();
-    if (s.allEnabled.load(std::memory_order_relaxed))
-        return true;
-    if (s.channelCount.load(std::memory_order_relaxed) == 0)
-        return false;
-    std::lock_guard<std::mutex> lock(s.mtx); // lint:allow(threading-outside-parallel)
-    return s.channels.count(toLower(channel)) > 0;
+    Lock lock(s.mtx);
+    return s.all || s.channels.count(toLower(channel)) > 0;
+}
+
+bool
+Trace::anyEnabled()
+{
+    TraceState &s = state();
+    Lock lock(s.mtx);
+    return s.all || !s.channels.empty();
 }
 
 Trace::Sink
 Trace::setSink(Sink sink)
 {
-    lazyInit();
     TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mtx); // lint:allow(threading-outside-parallel)
+    Lock lock(s.mtx);
     Sink previous = std::move(s.sink);
     s.sink = std::move(sink);
     return previous;
@@ -133,7 +114,7 @@ Trace::emit(const std::string &channel, Cycle now,
                               static_cast<unsigned long long>(now),
                               channel.c_str(), message.c_str());
     TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mtx); // lint:allow(threading-outside-parallel)
+    Lock lock(s.mtx);
     if (s.sink)
         s.sink(line);
     else

@@ -1,22 +1,24 @@
 /**
  * @file
- * Lightweight per-channel execution tracing (gem5's DPRINTF in spirit).
+ * Per-channel text tracing (gem5's DPRINTF in spirit).
  *
- * Channels are named ("l1", "dir", "br", "noc", ...). Tracing is off
- * unless enabled programmatically (Trace::enable) or via the
- * INPG_TRACE environment variable, which holds a comma-separated
- * channel list or "all":
+ * The channels are "l1", "dir" and "br". Tracing is off unless enabled
+ * programmatically (Trace::enable) or via the INPG_TRACE environment
+ * variable, which holds a comma-separated channel list or "all":
  *
  *     INPG_TRACE=dir,br ./build/examples/quickstart
  *
- * Emission goes to stderr by default; tests can capture it by
- * installing a sink. The INPG_TRACE_LINE macro stays cheap when the
- * channel is disabled (single branch, no formatting).
+ * Components do not call this facility: their lines ("L1 3 RECV ...",
+ * "DIR 5 PROC ...", "BR 9 STOP ...") come from the text-trace consumer
+ * of the telemetry event stream (telemetry/telemetry.hh). A System
+ * attaches that consumer when any channel is enabled at the time it is
+ * built, and each line is still gated by its own channel when emitted;
+ * with no channel enabled, tracing costs the components nothing.
  *
- * Thread safety: emission and all mutation are serialized process-wide
- * (the parallel sweep runner traces from several workers at once), so
- * lines never tear or interleave mid-line. Sinks are invoked under the
- * internal lock and must not call back into Trace.
+ * Lines go to stderr by default; tests capture them by installing a
+ * sink. All state and emission are serialized process-wide (the sweep
+ * runner traces from several workers at once), so lines never tear.
+ * Sinks run under the internal lock and must not call back into Trace.
  */
 
 #ifndef INPG_COMMON_TRACE_HH
@@ -45,6 +47,9 @@ class Trace
     /** True when the channel (or "all") is enabled. */
     static bool enabled(const std::string &channel);
 
+    /** True when any channel is enabled. */
+    static bool anyEnabled();
+
     /**
      * Install a sink; nullptr restores the default (stderr).
      * Returns the previous sink.
@@ -54,22 +59,8 @@ class Trace
     /** Emit one line: "[cycle] channel: message". */
     static void emit(const std::string &channel, Cycle now,
                      const std::string &message);
-
-    /**
-     * Read INPG_TRACE from the environment (called lazily on first
-     * use; exposed for tests).
-     */
-    static void initFromEnvironment();
 };
 
 } // namespace inpg
-
-/** Trace a printf-formatted line if `channel` is enabled. */
-#define INPG_TRACE_LINE(channel, now, ...)                                  \
-    do {                                                                    \
-        if (::inpg::Trace::enabled(channel))                                \
-            ::inpg::Trace::emit(channel, now,                               \
-                                ::inpg::format(__VA_ARGS__));               \
-    } while (0)
 
 #endif // INPG_COMMON_TRACE_HH

@@ -9,7 +9,6 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
-#include "common/trace.hh"
 #include "harness/presets.hh"
 #include "noc/topology.hh"
 
@@ -69,10 +68,6 @@ runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
         appendLedger();
         return results;
     }
-
-    // The trace registry initializes lazily from the environment on
-    // first use; force that once before workers can race on it.
-    Trace::initFromEnvironment();
 
     // An exception must not escape a worker (that would terminate the
     // process): each job's is kept, and once one fails no new jobs are

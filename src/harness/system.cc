@@ -2,6 +2,7 @@
 
 #include "coh/protocol_verify.hh"
 #include "common/logging.hh"
+#include "common/trace.hh"
 #include "harness/hang_report.hh"
 #include "inpg/big_router.hh"
 #include "noc/topology.hh"
@@ -23,7 +24,10 @@ System::System(SystemConfig config) : cfg(std::move(config))
             fatal("topology rejected: %s",
                   diags.front().toString().c_str());
     }
-    if (cfg.telemetry.any()) {
+    // The components read the event stream from the kernel at
+    // construction, so it is installed first. A text-trace channel
+    // alone also needs it: the text trace is one of its consumers.
+    if (cfg.telemetry.any() || Trace::anyEnabled()) {
         telem = std::make_unique<Telemetry>(cfg.telemetry,
                                             cfg.numCores());
         kernel.setTelemetry(telem.get());
@@ -33,8 +37,6 @@ System::System(SystemConfig config) : cfg(std::move(config))
         factory = makeInpgRouterFactory(cfg.inpg, cfg.coh);
     memSys = std::make_unique<CoherentSystem>(cfg.noc, cfg.coh, kernel,
                                               std::move(factory));
-    if (telem)
-        memSys->setTelemetry(telem.get());
     lockMgr = std::make_unique<LockManager>(*memSys, kernel, cfg.sync);
     if (telem && (telem->timeseries || telem->watchdog))
         wireDiagnosis();
@@ -44,7 +46,7 @@ void
 System::wireDiagnosis()
 {
     Network &net = memSys->network();
-    if (TimeseriesSampler *ts = telem->timeseries) {
+    if (TimeseriesSampler *ts = telem->timeseries.get()) {
         const Simulator *k = &kernel;
         ts->addGauge("events.pending", [k] {
             return static_cast<std::uint64_t>(k->events().size());
@@ -74,7 +76,7 @@ System::wireDiagnosis()
                 &net.ni(rt).stats.counter("packets_delivered"));
         }
     }
-    if (ProgressWatchdog *wd = telem->watchdog) {
+    if (ProgressWatchdog *wd = telem->watchdog.get()) {
         // Progress = packet deliveries + retired memory ops. Event
         // executions deliberately do NOT count: spinning cores fire
         // events throughout a genuine protocol deadlock.

@@ -1,14 +1,15 @@
 #include "inpg/big_router.hh"
 
 #include "common/logging.hh"
-#include "common/trace.hh"
+#include "telemetry/telemetry.hh"
 
 namespace inpg {
 
 BigRouter::BigRouter(NodeId node_id, const NocConfig &noc_cfg,
                      const RoutingAlgorithm *routing,
-                     const InpgConfig &inpg_cfg, const CohConfig &coh_cfg)
-    : Router(node_id, noc_cfg, routing),
+                     const InpgConfig &inpg_cfg, const CohConfig &coh_cfg,
+                     Telemetry *telemetry)
+    : Router(node_id, noc_cfg, routing, telemetry),
       brNode(node_id * noc_cfg.concentration),
       gen(brNode, inpg_cfg, coh_cfg), cohCfg(coh_cfg),
       // Generated packets need ids that cannot collide with the
@@ -33,16 +34,14 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
     if (flit->packet->dst == brNode &&
         msg->kind == CohMsgKind::InvAck && msg->fromBigRouter) {
         NodeId home = gen.onInvAckArrival(msg, now);
-        INPG_TRACE_LINE("br", now, "BR %d ACK-RELAY %s", nodeId(),
-                        msg->toString().c_str());
+        if (Telemetry *t = telemetry()) {
+            t->emit({SimEventKind::BrAckRelay, now, nodeId(), msg->addr,
+                     home, msg.get()});
+        }
         if (home != INVALID_NODE) {
             flit->packet->dst = home;
             msg->toDirectory = true;
             ++stats.counter("inv_acks_relayed");
-            if (FlightRecorder *fr = flightRecorder()) {
-                fr->record(FrKind::AckRelay, now, nodeId(), msg->addr,
-                           static_cast<std::uint64_t>(home));
-            }
         }
         return;
     }
@@ -50,8 +49,10 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
     // Stop later GetX[lock] arrivals under an existing barrier.
     CohMsgPtr inv = gen.onGetXArrival(msg, now);
     if (inv) {
-        INPG_TRACE_LINE("br", now, "BR %d STOP %s", nodeId(),
-                        msg->toString().c_str());
+        if (Telemetry *t = telemetry()) {
+            t->emit({SimEventKind::BrStop, now, nodeId(), msg->addr,
+                     msg->requester, msg.get()});
+        }
         auto pkt = std::make_shared<Packet>(nextGenPacketId++, brNode,
                                             static_cast<NodeId>(
                                                 inv->requester),
@@ -59,10 +60,6 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
                                             /*num_flits=*/1, inv);
         injectGenerated(pkt, now);
         ++stats.counter("early_invs_injected");
-        if (FlightRecorder *fr = flightRecorder()) {
-            fr->record(FrKind::BarrierStop, now, nodeId(), msg->addr,
-                       static_cast<std::uint64_t>(msg->requester));
-        }
     }
 }
 
@@ -97,16 +94,17 @@ RouterFactory
 makeInpgRouterFactory(const InpgConfig &inpg_cfg, const CohConfig &coh_cfg)
 {
     return [inpg_cfg, coh_cfg](NodeId id, const NocConfig &noc_cfg,
-                               const RoutingAlgorithm *routing)
+                               const RoutingAlgorithm *routing,
+                               Telemetry *telemetry)
                -> std::unique_ptr<Router> {
         CohConfig coh = coh_cfg;
         coh.numNodes = noc_cfg.numNodes();
         if (isBigRouterNode(id, noc_cfg.meshWidth, noc_cfg.meshHeight,
                             inpg_cfg.numBigRouters)) {
             return std::make_unique<BigRouter>(id, noc_cfg, routing,
-                                               inpg_cfg, coh);
+                                               inpg_cfg, coh, telemetry);
         }
-        return std::make_unique<Router>(id, noc_cfg, routing);
+        return std::make_unique<Router>(id, noc_cfg, routing, telemetry);
     };
 }
 

@@ -28,7 +28,7 @@ class BigRouter : public Router
   public:
     BigRouter(NodeId node_id, const NocConfig &noc_cfg,
               const RoutingAlgorithm *routing, const InpgConfig &inpg_cfg,
-              const CohConfig &coh_cfg);
+              const CohConfig &coh_cfg, Telemetry *telemetry = nullptr);
 
     bool isBigRouter() const override { return true; }
 

@@ -1,7 +1,6 @@
 #include "noc/network.hh"
 
 #include "common/logging.hh"
-#include "telemetry/telemetry.hh"
 
 namespace inpg {
 
@@ -14,13 +13,15 @@ Network::Network(const NocConfig &config, Simulator &sim,
     routers.reserve(static_cast<std::size_t>(n));
     nis.reserve(static_cast<std::size_t>(n));
 
+    // Routers and NIs keep the event stream installed in the kernel.
+    Telemetry *telem = sim.telemetry();
     for (NodeId id = 0; id < n; ++id) {
         if (factory)
-            routers.push_back(factory(id, cfg, routingAlgo.get()));
+            routers.push_back(factory(id, cfg, routingAlgo.get(), telem));
         else
-            routers.push_back(
-                std::make_unique<Router>(id, cfg, routingAlgo.get()));
-        nis.push_back(std::make_unique<NetworkInterface>(id, cfg));
+            routers.push_back(std::make_unique<Router>(
+                id, cfg, routingAlgo.get(), telem));
+        nis.push_back(std::make_unique<NetworkInterface>(id, cfg, telem));
     }
 
     // Two channels per NI and two per inter-router link.
@@ -130,36 +131,6 @@ Network::niCounterTotal(std::string_view key) const
     for (const auto &ni_ptr : nis)
         total += ni_ptr->stats.value(key);
     return total;
-}
-
-void
-Network::setTelemetry(Telemetry *t)
-{
-    PacketLifetimeTracker *tracker = t ? t->packets : nullptr;
-    FlightRecorder *rec = t ? t->recorder : nullptr;
-    for (auto &r : routers) {
-        r->setPacketTracker(tracker);
-        r->setFlightRecorder(rec);
-    }
-    for (auto &ni_ptr : nis) {
-        ni_ptr->setPacketTracker(tracker);
-        ni_ptr->setFlightRecorder(rec);
-    }
-    if (t && t->trace) {
-        for (const auto &r : routers) {
-            t->trace->nameTrack(
-                TrackGroup::Routers,
-                static_cast<std::uint32_t>(r->nodeId()),
-                format("%srouter %d", r->isBigRouter() ? "big " : "",
-                       r->nodeId()));
-        }
-        for (const auto &ni_ptr : nis) {
-            t->trace->nameTrack(
-                TrackGroup::NetworkInterfaces,
-                static_cast<std::uint32_t>(ni_ptr->nodeId()),
-                format("ni %d", ni_ptr->nodeId()));
-        }
-    }
 }
 
 double

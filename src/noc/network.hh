@@ -27,10 +27,11 @@ namespace inpg {
 
 /**
  * Creates the router for a node; the harness substitutes BigRouter
- * instances at iNPG deployment sites through this hook.
+ * instances at iNPG deployment sites through this hook. The last
+ * argument is the telemetry event stream (null when off).
  */
 using RouterFactory = std::function<std::unique_ptr<Router>(
-    NodeId, const NocConfig &, const RoutingAlgorithm *)>;
+    NodeId, const NocConfig &, const RoutingAlgorithm *, Telemetry *)>;
 
 /** The complete on-chip network of one simulated system. */
 class Network
@@ -89,13 +90,6 @@ class Network
 
     /** Mean end-to-end packet latency observed at the NIs. */
     double meanPacketLatency() const;
-
-    /**
-     * Attach (or detach with nullptr) the telemetry facade: forwards
-     * the packet-lifetime tracker to every router and NI and names
-     * their trace tracks.
-     */
-    void setTelemetry(Telemetry *t);
 
   private:
     NocConfig cfg;

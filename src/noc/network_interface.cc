@@ -1,7 +1,7 @@
 #include "noc/network_interface.hh"
 
 #include "common/logging.hh"
-#include "telemetry/packet_lifetime.hh"
+#include "telemetry/telemetry.hh"
 
 namespace inpg {
 
@@ -22,10 +22,11 @@ constexpr StatKeys NI_KEYS{NI_COUNTERS, NI_SAMPLES};
 
 } // namespace
 
-NetworkInterface::NetworkInterface(NodeId node_id, const NocConfig &config)
+NetworkInterface::NetworkInterface(NodeId node_id, const NocConfig &config,
+                                   Telemetry *telemetry)
     : id(node_id), cfg(config), baseNode(node_id * cfg.concentration),
       deliver(static_cast<std::size_t>(cfg.concentration)),
-      routerPort(cfg.totalVcs(), cfg.vcDepth)
+      routerPort(cfg.totalVcs(), cfg.vcDepth), telem(telemetry)
 {
     stats = StatGroup(format("ni%d", node_id), NI_KEYS);
     packetsQueuedCtr =
@@ -64,13 +65,9 @@ NetworkInterface::sendPacket(const PacketPtr &pkt, Cycle now)
     injectQueues[static_cast<std::size_t>(pkt->vnet)].push_back(pkt);
     ++queuedPkts;
     ++*packetsQueuedCtr;
-    if (pktTel)
-        pktTel->onPacketQueued(*pkt, now);
-    if (frec) {
-        // No address at this layer: addr carries the packet id, arg
-        // the destination node.
-        frec->record(FrKind::NiInject, now, id, pkt->id,
-                     static_cast<std::uint64_t>(pkt->dst));
+    if (telem) {
+        telem->emit({SimEventKind::NiInject, now, id, pkt->id, pkt->dst,
+                     nullptr, pkt.get()});
     }
     wakeSelf();
 }
@@ -139,11 +136,9 @@ NetworkInterface::ejectFlits(Cycle now)
             ++*packetsDeliveredCtr;
             packetLatencySample->add(
                 static_cast<double>(now - pkt->injectCycle));
-            if (pktTel)
-                pktTel->onPacketEjected(*pkt, now);
-            if (frec) {
-                frec->record(FrKind::NiEject, now, id, pkt->id,
-                             static_cast<std::uint64_t>(pkt->src));
+            if (telem) {
+                telem->emit({SimEventKind::NiEject, now, id, pkt->id,
+                             pkt->src, nullptr, pkt.get()});
             }
             const auto sink =
                 static_cast<std::size_t>(pkt->dst - baseNode);
@@ -218,8 +213,8 @@ NetworkInterface::injectOneFlit(Cycle now)
         flit->vc = fl.vc;
         if (fl.nextSeq == 0) {
             pkt->networkEntryCycle = now;
-            if (pktTel)
-                pktTel->onNetworkEntry(pkt->id, now);
+            if (telem)
+                telem->emit({SimEventKind::NiEnter, now, id, pkt->id});
         }
         routerPort.decrementCredit(fl.vc);
         txChannel->pushFlit(std::move(flit), now);

@@ -31,11 +31,11 @@
 #include "noc/output_unit.hh"
 #include "noc/ring_buffer.hh"
 #include "sim/ticking.hh"
-#include "telemetry/flight_recorder.hh"
+#include "telemetry/json.hh"
 
 namespace inpg {
 
-class PacketLifetimeTracker;
+class Telemetry;
 
 /** Endpoint adapter between tile controllers and the router fabric. */
 class NetworkInterface : public Ticking
@@ -43,7 +43,9 @@ class NetworkInterface : public Ticking
   public:
     using DeliverFn = std::function<void(const PacketPtr &, Cycle)>;
 
-    NetworkInterface(NodeId node_id, const NocConfig &cfg);
+    /** @param telemetry Event stream; null when telemetry is off. */
+    NetworkInterface(NodeId node_id, const NocConfig &cfg,
+                     Telemetry *telemetry = nullptr);
 
     /**
      * @param to_router   channel whose flit line the NI drives
@@ -90,12 +92,6 @@ class NetworkInterface : public Ticking
 
     /** True when no packet is queued, serializing, or reassembling. */
     bool idle() const;
-
-    /** Attach (or detach with nullptr) the packet-lifetime tracker. */
-    void setPacketTracker(PacketLifetimeTracker *t) { pktTel = t; }
-
-    /** Attach (or detach with nullptr) the flight recorder. */
-    void setFlightRecorder(FlightRecorder *r) { frec = r; }
 
     /**
      * Endpoint state for the hang report: per-vnet inject-queue
@@ -150,11 +146,8 @@ class NetworkInterface : public Ticking
     std::size_t queuedPkts = 0;
     std::size_t reassemblingFlits = 0;
 
-    /** Packet-lifetime telemetry; null when telemetry is off. */
-    PacketLifetimeTracker *pktTel = nullptr;
-
-    /** Flight recorder; null when off. */
-    FlightRecorder *frec = nullptr;
+    /** Telemetry event stream; null when telemetry is off. */
+    Telemetry *telem;
 
     /** Cached hot stat handles (eager keys, taken by index). */
     std::uint64_t *packetsQueuedCtr = nullptr;

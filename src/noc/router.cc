@@ -3,7 +3,7 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "telemetry/packet_lifetime.hh"
+#include "telemetry/telemetry.hh"
 
 namespace inpg {
 
@@ -32,7 +32,7 @@ constexpr StatKeys ROUTER_KEYS{ROUTER_COUNTERS, {}};
 } // namespace
 
 Router::Router(NodeId node_id, const NocConfig &config_in,
-               const RoutingAlgorithm *routing)
+               const RoutingAlgorithm *routing, Telemetry *telemetry)
     : id(node_id), cfg(config_in),
       // Sized for every port the router can ever have (the generator
       // port arrives after construction).
@@ -43,7 +43,8 @@ Router::Router(NodeId node_id, const NocConfig &config_in,
           static_cast<std::size_t>(config_in.totalVcs()),
           config_in.agingQuantum)),
       saOutportArb(filledArray<PriorityArbiter, NUM_PORTS>(
-          std::size_t{NUM_PORTS + 1}, config_in.agingQuantum))
+          std::size_t{NUM_PORTS + 1}, config_in.agingQuantum)),
+      telem(telemetry)
 {
     INPG_ASSERT(routing != nullptr, "router %d needs a routing algorithm",
                 node_id);
@@ -265,8 +266,9 @@ Router::drainFlits(Cycle now)
             FlitPtr flit = ch->flits.pop(now);
             if (isHeadFlit(flit->type)) {
                 onHeadFlitArrived(flit, p, now);
-                if (pktTel)
-                    pktTel->onRouterArrive(id, flit->packet->id, now);
+                if (telem)
+                    telem->emit({SimEventKind::RouterArrive, now, id,
+                                 flit->packet->id});
             }
             inVcs.receiveFlit(p, std::move(flit), now);
             ++*flitsReceivedCtr;
@@ -289,11 +291,9 @@ Router::drainGeneratorQueue(Cycle now)
             FlitPtr flit = makeFlit(pkt, FlitType::HeadTail, 0);
             flit->vc = vc;
             pkt->networkEntryCycle = now;
-            if (pktTel) {
-                // Generator packets bypass the source NI; open their
-                // lifetime record here so hop stamps have a home.
-                pktTel->onPacketQueued(*pkt, now);
-                pktTel->onRouterArrive(id, pkt->id, now);
+            if (telem) {
+                telem->emit({SimEventKind::RouterGenerate, now, id, pkt->id,
+                             0, nullptr, pkt.get()});
             }
             inVcs.receiveFlit(genPort, std::move(flit), now);
             ++stats.counter("gen_packets_injected");
@@ -340,8 +340,9 @@ Router::tryAllocateVc(int port, VcId v, Cycle now)
     a.state[s] = VcStateArray::Active;
     a.refreshMask(port, v);
     ++*vaGrantsCtr;
-    if (pktTel)
-        pktTel->onVaGrant(id, a.front(s)->packet->id, now);
+    if (telem)
+        telem->emit({SimEventKind::RouterVaGrant, now, id,
+                     a.front(s)->packet->id});
 }
 
 void
@@ -392,8 +393,9 @@ Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
         onHeadFlitGranted(flit, inport, static_cast<Direction>(outport),
                           now);
         ++*packetsRoutedCtr;
-        if (pktTel)
-            pktTel->onRouterDepart(id, flit->packet->id, now);
+        if (telem)
+            telem->emit({SimEventKind::RouterDepart, now, id,
+                         flit->packet->id});
     }
 
     // Return a buffer credit upstream (none for the generator port).

@@ -34,11 +34,11 @@
 #include "noc/routing.hh"
 #include "noc/vc_state.hh"
 #include "sim/ticking.hh"
-#include "telemetry/flight_recorder.hh"
+#include "telemetry/json.hh"
 
 namespace inpg {
 
-class PacketLifetimeTracker;
+class Telemetry;
 
 /** Baseline ("normal") NoC router. */
 class Router : public Ticking
@@ -48,9 +48,10 @@ class Router : public Ticking
      * @param node_id   mesh node this router serves
      * @param cfg       shared NoC configuration (copied)
      * @param routing   routing algorithm (not owned; outlives the router)
+     * @param telemetry event stream; null when telemetry is off
      */
     Router(NodeId node_id, const NocConfig &cfg,
-           const RoutingAlgorithm *routing);
+           const RoutingAlgorithm *routing, Telemetry *telemetry = nullptr);
 
     ~Router() override = default;
 
@@ -79,12 +80,6 @@ class Router : public Ticking
 
     /** Sum of flits buffered across all input units (invariant checks). */
     std::size_t bufferedFlits() const;
-
-    /** Attach (or detach with nullptr) the packet-lifetime tracker. */
-    void setPacketTracker(PacketLifetimeTracker *t) { pktTel = t; }
-
-    /** Attach (or detach with nullptr) the flight recorder. */
-    void setFlightRecorder(FlightRecorder *r) { frec = r; }
 
     /**
      * Structured dump of the router's pipeline state for the hang
@@ -152,8 +147,8 @@ class Router : public Ticking
     /** Number of input ports including the generator port if present. */
     int numInPorts() const { return nInPorts; }
 
-    /** Flight recorder, or null when off (BigRouter hook sites). */
-    FlightRecorder *flightRecorder() const { return frec; }
+    /** Telemetry event stream, or null when off (BigRouter sites). */
+    Telemetry *telemetry() const { return telem; }
 
   private:
     void drainCredits(Cycle now);
@@ -259,11 +254,8 @@ class Router : public Ticking
     std::array<std::size_t, NUM_PORTS + 1> saInportVnetPtr{};
     std::array<std::size_t, NUM_PORTS> saOutportVnetPtr{};
 
-    /** Packet-lifetime telemetry; null when telemetry is off. */
-    PacketLifetimeTracker *pktTel = nullptr;
-
-    /** Flight recorder; null when off. */
-    FlightRecorder *frec = nullptr;
+    /** Telemetry event stream; null when telemetry is off. */
+    Telemetry *telem;
 
     /** Cached hot counters (eager keys, taken by index). */
     std::uint64_t *flitsReceivedCtr = nullptr;

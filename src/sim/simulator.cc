@@ -66,9 +66,9 @@ void
 Simulator::setTelemetry(Telemetry *t)
 {
     tel = t;
-    kernelProf = t ? t->kernel : nullptr;
-    sampler = t ? t->timeseries : nullptr;
-    wdog = t ? t->watchdog : nullptr;
+    kernelProf = t ? t->kernel.get() : nullptr;
+    sampler = t ? t->timeseries.get() : nullptr;
+    wdog = t ? t->watchdog.get() : nullptr;
 }
 
 void

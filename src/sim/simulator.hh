@@ -129,11 +129,12 @@ class Simulator
     void setHostProfile(HostPhaseProfile *p) { profile = p; }
 
     /**
-     * Attach (or detach with nullptr) the telemetry facade.
-     * Components read it lazily through telemetry(), so installation
-     * order relative to component construction does not matter. The
-     * kernel itself feeds the profile (events-per-cycle, wheel
-     * occupancy, fast-forward skip histogram) when one is enabled.
+     * Attach (or detach with nullptr) the telemetry facade. Install it
+     * before building the components: routers and NIs keep the
+     * pointer they find at construction (L1s, directories and locks
+     * read it through telemetry() at each event). The kernel itself
+     * feeds the profile (events-per-cycle, wheel occupancy,
+     * fast-forward skip histogram) when one is enabled.
      */
     void setTelemetry(Telemetry *t);
 

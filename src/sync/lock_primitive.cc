@@ -5,17 +5,6 @@
 
 namespace inpg {
 
-namespace {
-
-inline LcoTracker *
-lcoOf(Simulator &sim)
-{
-    Telemetry *t = sim.telemetry();
-    return t ? t->lco : nullptr;
-}
-
-} // namespace
-
 const char *
 lockKindName(LockKind kind)
 {
@@ -58,29 +47,29 @@ LockPrimitive::applyOcorPriority(ThreadId t, int remaining_retries)
 void
 LockPrimitive::markAcquireStart(ThreadId t)
 {
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->acquireBegin(t, sim.now());
+    if (Telemetry *tel = sim.telemetry())
+        tel->emit({SimEventKind::AcquireBegin, sim.now(), t});
 }
 
 void
 LockPrimitive::markSleepBegin(ThreadId t)
 {
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->sleepBegin(t, sim.now());
+    if (Telemetry *tel = sim.telemetry())
+        tel->emit({SimEventKind::SleepBegin, sim.now(), t});
 }
 
 void
 LockPrimitive::markSleepEnd(ThreadId t)
 {
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->sleepEnd(t, sim.now());
+    if (Telemetry *tel = sim.telemetry())
+        tel->emit({SimEventKind::SleepEnd, sim.now(), t});
 }
 
 void
 LockPrimitive::markAcquired(ThreadId t)
 {
-    if (LcoTracker *lco = lcoOf(sim))
-        lco->acquireEnd(t, sim.now());
+    if (Telemetry *tel = sim.telemetry())
+        tel->emit({SimEventKind::AcquireEnd, sim.now(), t});
     ++numHolders;
     INPG_ASSERT(numHolders == 1,
                 "mutual exclusion violated on %s: thread %d acquired "

@@ -10,9 +10,9 @@
  * string copies (all text fields are static-lifetime table/tag
  * strings, reusing the declarative transition-table names from the
  * protocol layer). When the ring is full the oldest entry is
- * overwritten; `wrapped()` counts how many were lost. Same
- * zero-cost-when-off contract as every telemetry observer: components
- * hold a `FlightRecorder *` that is null when the recorder is off.
+ * overwritten; `wrapped()` counts how many were lost. The recorder is
+ * a consumer of the telemetry event stream: Telemetry owns it and
+ * records the seven kinds below, so it costs nothing when off.
  *
  * Panic integration: live recorders register themselves in a global
  * (mutex-guarded) registry and install a panic hook, so `panic()`

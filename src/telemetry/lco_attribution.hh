@@ -90,8 +90,8 @@ struct LcoSummary {
 };
 
 /**
- * Hook receiver wired into the locks, L1 controllers and directories.
- * All hooks are keyed by core id (== thread id in this simulator) and
+ * Consumer of the lock, L1 and directory events of the telemetry
+ * stream (Telemetry's dispatch calls these hooks). All hooks are keyed by core id (== thread id in this simulator) and
  * ignore cores with no acquire in flight, so release-path traffic and
  * non-lock workload ops never pollute the attribution.
  */

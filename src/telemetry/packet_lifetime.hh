@@ -4,7 +4,8 @@
  * granularity -- NI inject, per-router head arrival / VC allocation /
  * switch traversal, NI eject -- and rolls the stamps into latency
  * statistics and (optionally) Chrome-trace slices, one track per
- * router and network interface.
+ * router and network interface. A consumer of the NI and router events
+ * of the telemetry stream.
  *
  * Records live only while their packet is in flight: the eject hook
  * folds the record into running statistics, emits its trace slices,

@@ -3,16 +3,21 @@
  * Telemetry subsystem tests: the LCO attribution tiling invariant
  * (leg sum == end-to-end acquire latency, exactly), the TAS-vs-MCS
  * attribution ordering of Figure 2, packet-lifetime accounting,
- * trace-sink capping, the stats snapshot document, and that enabling
- * telemetry never changes simulated results.
+ * trace-sink capping, the stats snapshot document, the event-stream
+ * dispatch to each consumer, and that enabling telemetry never
+ * changes simulated results.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "coh/coherence_msg.hh"
+#include "coh/protocol_tables.hh"
+#include "common/trace.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "workload/benchmark_profile.hh"
@@ -57,7 +62,7 @@ runWithLco(LockKind kind, Mechanism mech = Mechanism::Original,
     system.runUntil([&] { return w.done(); });
 
     LcoRun out;
-    LcoTracker *lco = system.telemetry()->lco;
+    LcoTracker *lco = system.telemetry()->lco.get();
     out.records = lco->records();
     out.summary = lco->summary();
     out.roi = w.roiFinish();
@@ -187,9 +192,18 @@ TEST(Telemetry, ConfigSpecParsing)
     EXPECT_TRUE(tc.packets && tc.kernel);
     tc.applySpec("off");
     EXPECT_FALSE(tc.any());
-    tc.applySpec("kernel,unknown-token");
-    EXPECT_TRUE(tc.kernel);
-    EXPECT_FALSE(tc.lco);
+    // A misspelled token is an error, not a silently ignored feature.
+    try {
+        tc.applySpec("kernel,lcoo");
+        ADD_FAILURE() << "unknown telemetry token accepted";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'lcoo'"), std::string::npos) << what;
+        EXPECT_NE(what.find("valid: lco, packets"), std::string::npos)
+            << what;
+    }
+    tc.applySpec("kernel,,lco,"); // empty segments are skipped
+    EXPECT_TRUE(tc.kernel && tc.lco);
 }
 
 TEST(PacketLifetime, QueueAndNetworkLegsSumToTotalLatency)
@@ -275,6 +289,274 @@ TEST(Json, BuilderEmitsValidDocuments)
               "\"str\":\"a\\\"b\\\\c\\n\\t\",\"bool\":true,"
               "\"null\":null,\"arr\":[1,\"two\"],"
               "\"nested\":{\"x\":0.5}}");
+}
+
+/** Text-trace lines of every channel, captured for one test. */
+struct TextCapture {
+    TextCapture()
+    {
+        Trace::enable("all");
+        previous = Trace::setSink(
+            [this](const std::string &line) { lines.push_back(line); });
+    }
+
+    ~TextCapture()
+    {
+        Trace::setSink(previous);
+        Trace::disable("all");
+    }
+
+    /** Channel of each captured line, in order. */
+    std::vector<std::string>
+    channels() const
+    {
+        std::vector<std::string> out;
+        for (const std::string &l : lines) {
+            const std::size_t open = l.find("] ") + 2;
+            out.push_back(l.substr(open, l.find(':', open) - open));
+        }
+        return out;
+    }
+
+    std::vector<std::string> lines;
+    Trace::Sink previous;
+};
+
+/** Kind names of the recorder's retained events, oldest first. */
+std::vector<std::string>
+recordedKinds(const FlightRecorder &rec)
+{
+    std::vector<std::string> out;
+    const JsonValue events = rec.toJson();
+    for (const JsonValue &e : events.items())
+        out.push_back(e.at("kind").asString());
+    return out;
+}
+
+CohMsgPtr
+cohMsg(CohMsgKind kind, CoreId requester)
+{
+    auto m = std::make_shared<CoherenceMsg>();
+    m->kind = kind;
+    m->addr = 0x1040;
+    m->requester = requester;
+    return m;
+}
+
+TEST(TelemetryStream, EachKindReachesEveryConsumerThatTakesIt)
+{
+    TextCapture text;
+    TelemetryConfig tc;
+    tc.applySpec("lco,packets,trace,recorder");
+    Telemetry telem(tc, 4);
+    using K = SimEventKind;
+    auto emitMsg = [&](K kind, Cycle now, int node, const CohMsgPtr &m,
+                       std::int64_t arg = 0) {
+        telem.emit({.kind = kind, .cycle = now, .node = node,
+                    .id = m->addr, .arg = arg, .msg = m.get()});
+    };
+
+    // Acquire A (thread/core 1): one GetX miss through a directory the
+    // big router pre-invalidated for, answered by DataExcl plus one
+    // home InvAck, then a sleep. Each event closes exactly one leg.
+    auto getx = cohMsg(CohMsgKind::GetX, 1);
+    getx->earlyInvalidated = true;
+    telem.emit({K::AcquireBegin, 100, 1});
+    telem.emit({K::L1OpIssued, 103, 1});           // spin 3
+    emitMsg(K::L1Send, 105, 1, getx, 4);          // l1 access 2
+    emitMsg(K::DirArrive, 110, 4, getx);          // request net 5
+    emitMsg(K::DirProcess, 120, 4, getx, 1);      // dir service 10
+    emitMsg(K::L1Recv, 127, 1, cohMsg(CohMsgKind::DataExcl, 4),
+            1);                                   // response net 7
+    emitMsg(K::L1Recv, 130, 1, cohMsg(CohMsgKind::InvAck, 2),
+            1);                                   // InvAck wait 3
+    telem.emit({K::L1OpCompleted, 131, 1});       // other 1
+    telem.emit({K::SleepBegin, 134, 1});          // spin 3
+    telem.emit({K::SleepEnd, 140, 1});            // sleep 6
+    telem.emit({K::AcquireEnd, 142, 1});          // other 2
+
+    // Acquire B (thread 2): an early Inv for its GetX reaches core 3.
+    telem.emit({K::AcquireBegin, 150, 2});
+    auto inv = cohMsg(CohMsgKind::Inv, 2);
+    inv->fromBigRouter = true;
+    emitMsg(K::L1Recv, 155, 3, inv, 3);
+    telem.emit({K::AcquireEnd, 160, 2});
+
+    const std::vector<LcoAcquireRecord> &recs = telem.lco->records();
+    ASSERT_EQ(recs.size(), 2u);
+    const LcoLegs &a = recs[0].legs;
+    EXPECT_EQ(a.spinWait, 6u);
+    EXPECT_EQ(a.l1Access, 2u);
+    EXPECT_EQ(a.reqNetwork, 5u);
+    EXPECT_EQ(a.dirService, 10u);
+    EXPECT_EQ(a.respNetwork, 7u);
+    EXPECT_EQ(a.invAckWait, 3u);
+    EXPECT_EQ(a.sleepWait, 6u);
+    EXPECT_EQ(a.other, 3u);
+    EXPECT_EQ(a.sum(), recs[0].latency());
+    EXPECT_EQ(recs[0].misses, 1u);
+    EXPECT_EQ(recs[0].homeInvAcks, 1u);
+    EXPECT_TRUE(recs[0].sawEarlyInv); // from the directory event
+    EXPECT_TRUE(recs[1].sawEarlyInv); // from the L1 Inv event
+
+    // Packet 7 crosses router 0 from node 0 to node 3.
+    auto pkt = std::make_shared<Packet>(7, 0, 3, 0, 1, getx);
+    telem.emit({.kind = K::NiInject, .cycle = 200, .node = 0, .id = 7,
+                .arg = 3, .pkt = pkt.get()});
+    telem.emit({K::NiEnter, 202, 0, 7});
+    telem.emit({K::RouterArrive, 203, 0, 7});
+    telem.emit({K::RouterVaGrant, 205, 0, 7});
+    telem.emit({K::RouterDepart, 206, 0, 7});
+    telem.emit({.kind = K::NiEject, .cycle = 210, .node = 3, .id = 7,
+                .arg = 0, .pkt = pkt.get()});
+    // A big router's generated packet 9 opens its record at router 2.
+    auto gen = std::make_shared<Packet>(9, 2, 1, 0, 1, inv);
+    telem.emit({.kind = K::RouterGenerate, .cycle = 220, .node = 2,
+                .id = 9, .pkt = gen.get()});
+
+    const StatGroup &ps = telem.packets->statGroup();
+    EXPECT_EQ(ps.value("packets_tracked"), 2u);
+    EXPECT_EQ(ps.value("packets_completed"), 1u);
+    EXPECT_DOUBLE_EQ(ps.sampleValue("queue_wait").sum(), 2.0);
+    EXPECT_DOUBLE_EQ(ps.sampleValue("net_latency").sum(), 8.0);
+    EXPECT_DOUBLE_EQ(ps.sampleValue("hop_buffer_wait").sum(), 2.0);
+    EXPECT_DOUBLE_EQ(ps.sampleValue("hop_switch_wait").sum(), 1.0);
+    const JsonValue live = telem.packets->inFlightJson(230);
+    ASSERT_EQ(live.size(), 1u);
+    EXPECT_EQ(live.item(0).at("hops").item(0).at("router").asInt(), 2);
+    // The ejection drew packet 7's router, NI and arrival slices.
+    EXPECT_EQ(telem.trace->eventCount(), 3u);
+
+    emitMsg(K::DirService, 240, 4, getx, 12);
+    EXPECT_EQ(telem.trace->eventCount(), 4u);
+    EXPECT_NE(telem.trace->writeJson().find("\"dur\":12"),
+              std::string::npos);
+
+    telem.emit({K::DirSend, 250, 4, getx->addr, 1, getx.get(), nullptr,
+                "Data"});
+    telem.emit({K::DirDrop, 251, 4, getx->addr, 1, getx.get(), nullptr,
+                "Data"});
+    auto ack = cohMsg(CohMsgKind::InvAck, 2);
+    ack->fromBigRouter = true;
+    emitMsg(K::BrAckRelay, 260, 5, ack, 4);
+    emitMsg(K::BrAckRelay, 261, 5, ack,
+            INVALID_NODE); // not relayed
+    emitMsg(K::BrStop, 262, 5, getx, 1);
+
+    EXPECT_EQ(recordedKinds(*telem.recorder),
+              (std::vector<std::string>{
+                  "proto", "proto", "proto", "proto", "inject", "eject",
+                  "send", "drop", "ack-relay", "barrier-stop"}));
+    EXPECT_EQ(telem.recorder->toJson().item(6).at("tag").asString(),
+              "Data");
+    EXPECT_EQ(text.channels(),
+              (std::vector<std::string>{"l1", "dir", "l1", "l1", "l1",
+                                        "br", "br", "br"}));
+    EXPECT_EQ(text.lines[0], "[105] l1: L1 1 SEND->4 " + getx->toString());
+    EXPECT_EQ(text.lines[1], "[120] dir: DIR 4 PROC " + getx->toString());
+    EXPECT_EQ(text.lines[5], "[260] br: BR 5 ACK-RELAY " + ack->toString());
+    EXPECT_EQ(text.lines[7], "[262] br: BR 5 STOP " + getx->toString());
+}
+
+TEST(TelemetryStream, RecorderIgnoresKindsItDoesNotRecord)
+{
+    TextCapture text; // the text consumer takes L1 sends
+    TelemetryConfig tc;
+    tc.applySpec("lco,packets,trace,recorder");
+    Telemetry telem(tc, 2);
+    using K = SimEventKind;
+    auto getx = cohMsg(CohMsgKind::GetX, 1);
+    auto pkt = std::make_shared<Packet>(3, 0, 1, 0, 1, getx);
+    telem.emit({K::AcquireBegin, 10, 1});
+    telem.emit({K::L1OpIssued, 11, 1});
+    telem.emit({.kind = K::L1Send, .cycle = 12, .node = 1,
+                .id = getx->addr, .arg = 0, .msg = getx.get()});
+    telem.emit({.kind = K::DirArrive, .cycle = 13, .node = 0,
+                .id = getx->addr, .msg = getx.get()});
+    telem.emit({.kind = K::DirService, .cycle = 14, .node = 0,
+                .id = getx->addr, .arg = 2, .msg = getx.get()});
+    telem.emit({.kind = K::RouterGenerate, .cycle = 15, .node = 0,
+                .id = 3, .pkt = pkt.get()});
+    telem.emit({K::NiEnter, 16, 0, 3});
+    telem.emit({K::RouterArrive, 17, 1, 3});
+    telem.emit({K::RouterVaGrant, 18, 1, 3});
+    telem.emit({K::RouterDepart, 19, 1, 3});
+    telem.emit({K::L1OpCompleted, 20, 1});
+    telem.emit({K::SleepBegin, 21, 1});
+    telem.emit({K::SleepEnd, 22, 1});
+    telem.emit({K::AcquireEnd, 23, 1});
+
+    EXPECT_EQ(telem.recorder->recordedTotal(), 0u);
+    // ... while the consumers that take them saw them.
+    EXPECT_EQ(telem.lco->summary().acquires, 1u);
+    EXPECT_EQ(telem.packets->inFlight(), 1u);
+    EXPECT_EQ(text.lines.size(), 1u);
+}
+
+TEST(TelemetryStream, L1ReceiveHooksMatchTheProtocolTable)
+{
+    // For each message event, the LCO hooks the L1 table declares
+    // (except opCompleted, which the completing op fires) are exactly
+    // the ones the L1Recv consumer drives.
+    const ProtoTableBase &table = l1ProtocolTable();
+    for (CohMsgKind kind :
+         {CohMsgKind::Inv, CohMsgKind::FwdGetS, CohMsgKind::FwdGetX,
+          CohMsgKind::Data, CohMsgKind::DataExcl, CohMsgKind::AckCount,
+          CohMsgKind::InvAck}) {
+        const int ev = static_cast<int>(l1EventForMsgKind(kind));
+        std::set<std::string> declared;
+        for (int st = 0; st < table.numStates(); ++st) {
+            const ProtoTransition *tr = table.find(st, ev);
+            if (!tr || !tr->legal())
+                continue;
+            for (const char *h : tr->lcoHooks)
+                if (std::string(h) != "opCompleted")
+                    declared.insert(h);
+        }
+
+        TelemetryConfig tc;
+        tc.lco = true;
+        Telemetry telem(tc, 2);
+        auto m = cohMsg(kind, 1);
+        m->fromBigRouter = true;
+        telem.emit({SimEventKind::AcquireBegin, 0, 1});
+        telem.emit({SimEventKind::L1Recv, 5, 1, m->addr, 1, m.get()});
+        telem.emit({SimEventKind::AcquireEnd, 9, 1});
+        const LcoAcquireRecord &r = telem.lco->records().at(0);
+        std::set<std::string> driven;
+        if (r.legs.respNetwork > 0)
+            driven.insert("responseArrived");
+        if (r.legs.invAckWait > 0)
+            driven.insert("invAckArrived");
+        if (r.sawEarlyInv && r.earlyInvAcks == 0)
+            driven.insert("earlyInvSeen");
+        EXPECT_EQ(driven, declared) << cohMsgKindName(kind);
+    }
+}
+
+TEST(TelemetryStream, InterestMaskRejectsKindsNoConsumerTakes)
+{
+    using K = SimEventKind;
+    const K packet_hops[] = {K::NiInject,     K::NiEnter,
+                             K::NiEject,      K::RouterGenerate,
+                             K::RouterArrive, K::RouterVaGrant,
+                             K::RouterDepart};
+    TelemetryConfig tc;
+    tc.lco = true;
+    Telemetry lco_only(tc, 1);
+    for (K k : packet_hops)
+        EXPECT_FALSE(lco_only.wants(k)) << static_cast<int>(k);
+    for (K k : {K::AcquireBegin, K::L1Send, K::L1Recv, K::DirProcess})
+        EXPECT_TRUE(lco_only.wants(k)) << static_cast<int>(k);
+    EXPECT_FALSE(lco_only.wants(K::DirService)); // Chrome sink only
+    EXPECT_FALSE(lco_only.wants(K::DirSend));    // recorder only
+
+    tc = TelemetryConfig{};
+    tc.packets = true;
+    Telemetry packets_only(tc, 1);
+    for (K k : packet_hops)
+        EXPECT_TRUE(packets_only.wants(k)) << static_cast<int>(k);
+    EXPECT_FALSE(packets_only.wants(K::AcquireBegin));
 }
 
 TEST(KernelProfile, RecordsCyclesAndFastForwardSkips)

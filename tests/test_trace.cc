@@ -1,7 +1,8 @@
 /**
  * @file
  * Trace facility tests: channel gating, sinks, and that protocol
- * components actually emit on their channels.
+ * components actually emit on their channels through the telemetry
+ * text-trace consumer.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "common/trace.hh"
 #include "harness/sweep_runner.hh"
 #include "sim/simulator.hh"
+#include "telemetry/telemetry.hh"
 #include "workload/benchmark_profile.hh"
 
 namespace inpg {
@@ -55,12 +57,26 @@ TEST(Trace, EmitFormatsCycleAndChannel)
 {
     TraceCapture cap;
     Trace::enable("x");
-    INPG_TRACE_LINE("x", 42, "value=%d", 7);
+    Trace::emit("x", 42, "value=7");
     ASSERT_EQ(cap.lines.size(), 1u);
     EXPECT_EQ(cap.lines[0], "[42] x: value=7");
-    // Disabled channel: the macro must not emit (nor format).
-    INPG_TRACE_LINE("y", 43, "%d", 1);
-    EXPECT_EQ(cap.lines.size(), 1u);
+
+    // Component lines come from the telemetry text consumer, which
+    // formats them the same way and honours each line's channel.
+    Trace::enable("l1");
+    Telemetry telem(TelemetryConfig{}, 1);
+    CoherenceMsg msg;
+    msg.kind = CohMsgKind::GetS;
+    msg.addr = 0x40;
+    msg.requester = 3;
+    telem.emit({.kind = SimEventKind::L1Send, .cycle = 43, .node = 3,
+                .id = msg.addr, .arg = 5, .msg = &msg});
+    ASSERT_EQ(cap.lines.size(), 2u);
+    EXPECT_EQ(cap.lines[1], "[43] l1: L1 3 SEND->5 " + msg.toString());
+    // Disabled channel: no line (nor formatting).
+    telem.emit({.kind = SimEventKind::DirProcess, .cycle = 44, .node = 5,
+                .id = msg.addr, .arg = 3, .msg = &msg});
+    EXPECT_EQ(cap.lines.size(), 2u);
 }
 
 TEST(Trace, ProtocolComponentsEmitOnTheirChannels)
@@ -73,7 +89,12 @@ TEST(Trace, ProtocolComponentsEmitOnTheirChannels)
     noc.meshWidth = 2;
     noc.meshHeight = 2;
     CohConfig coh;
+    // Installed the way System does: the event stream goes into the
+    // kernel before the components are built, and the text consumer
+    // attaches because channels are enabled by then.
+    Telemetry telem(TelemetryConfig{}, noc.numNodes());
     Simulator sim;
+    sim.setTelemetry(&telem);
     CoherentSystem sys(noc, coh, sim);
     bool done = false;
     sys.l1(0).issueLoad(coh.lineHomedAt(3), false,

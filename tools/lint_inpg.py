@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Determinism lint for the iNPG simulator sources (DESIGN.md Section 8).
 
-Rules (numbered as DESIGN.md invariants 10-19):
+Rules (numbered as DESIGN.md invariants 10-20):
 
   unordered-iteration  (inv. 10)
       No range-for over std::unordered_map / std::unordered_set in the
@@ -83,6 +83,17 @@ Rules (numbered as DESIGN.md invariants 10-19):
       JSON text silently forks the schema. Scanned on RAW file text
       (string literals are exactly the evidence), so the historical
       Chrome-trace writer carries per-line lint:allow markers.
+
+  hook-outside-stream  (inv. 20)
+      No telemetry hook that bypasses the event stream in src/ outside
+      src/telemetry/ and the harness readers (src/harness/): the
+      retired INPG_TRACE_LINE macro, `->recorder->record(`, `->lco->`,
+      `->packets->`, `->trace->duration(` or `->trace->instant(`. A
+      component reports what happened with one Telemetry::emit() of a
+      typed SimEvent; only the telemetry layer hands events to its
+      consumers, and only the harness reads results back. A direct
+      consumer call is a second hook system the stream's interest
+      mask, tests and text trace never see.
 
 A finding is suppressed by an end-of-line marker naming its rule:
 
@@ -173,6 +184,17 @@ TABLE_OK_PREFIXES = ("src/coh/protocol_tables", "src/coh/transition_table")
 # escaping, schema_version stamping and the canonical round-trip.
 ADHOC_JSON_RE = re.compile(r'\\"[A-Za-z0-9_]+\\"\s*:')
 ADHOC_JSON_OK_PREFIXES = ("src/telemetry/json",)
+
+
+# Telemetry hooks that bypass the event stream: the retired text-trace
+# macro and direct calls into a consumer. The telemetry layer owns the
+# dispatch; the harness reads consumers back after a run.
+HOOK_RE = re.compile(
+    r"\bINPG_TRACE_LINE\b"
+    r"|->\s*recorder\s*->\s*record\s*\("
+    r"|->\s*(?:lco|packets)\s*->"
+    r"|->\s*trace\s*->\s*(?:duration|instant)\s*\(")
+HOOK_OK_PREFIXES = ("src/telemetry/", "src/harness/")
 
 
 def strip_comments(text):
@@ -441,6 +463,26 @@ def check_adhoc_json(raw_files):
     return findings
 
 
+def check_hook_outside_stream(files):
+    findings = []
+    for path, text in files:
+        posix = path.as_posix()
+        if any(posix.startswith(p) for p in HOOK_OK_PREFIXES):
+            continue
+        lines = text.splitlines()
+        for m in HOOK_RE.finditer(text):
+            ln = line_of(text, m.start())
+            if allowed(lines, ln, "hook-outside-stream"):
+                continue
+            findings.append(Finding(
+                "hook-outside-stream", path, ln,
+                "'%s': telemetry hooks go through the event stream -- "
+                "emit one typed SimEvent with Telemetry::emit() and let "
+                "src/telemetry/ hand it to its consumers"
+                % m.group(0).strip()))
+    return findings
+
+
 def gather(root, rel_dirs, strip=True):
     """strip=False keeps string literals intact for the raw-text rules
     (ad-hoc-json reads the literals as its evidence)."""
@@ -472,6 +514,7 @@ def run_lint(root):
     findings += check_coordinate_arithmetic(all_files)
     findings += check_table_row_construction(all_files)
     findings += check_adhoc_json(gather(root, ALL_SRC, strip=False))
+    findings += check_hook_outside_stream(all_files)
     findings.sort(key=lambda f: (str(f.path), f.line))
     return findings
 
@@ -490,6 +533,8 @@ void f() {
     int x = id % cfg.meshWidth;
     TransitionTable<TS, TE> rogue(2, 2, {});
     ProtoTransition row{0, 0, PROTO_OK, {}, {}, {}, ""};
+    if (Telemetry *t = sim.telemetry(); t && t->lco)
+        t->lco->opIssued(core, now);
 }
 """
 
@@ -543,11 +588,13 @@ def run_self_test():
     findings += check_threading_scope(files)
     findings += check_coordinate_arithmetic(files)
     findings += check_table_row_construction(files)
+    findings += check_hook_outside_stream(files)
     fired = {f.rule for f in findings}
     want = {"unordered-iteration", "raw-flit-new", "nondeterminism",
             "shared-ptr-flit", "node-container-noc",
             "unbounded-recording", "threading-outside-parallel",
-            "coordinate-arithmetic", "table-row-outside-tables"}
+            "coordinate-arithmetic", "table-row-outside-tables",
+            "hook-outside-stream"}
     failures = want - fired
     for rule in sorted(want):
         status = "ok" if rule in fired else "MISSED"
@@ -679,6 +726,43 @@ def run_self_test():
         print("lint_inpg --self-test: ok: lint:allow exempts the "
               "Chrome-trace writer from ad-hoc-json")
 
+    # Every retired hook form fires outside the stream ...
+    hooks = [(Path("src/coh/bad_hooks.cc"), strip_comments(
+        'INPG_TRACE_LINE("l1", now, "L1 %d RECV", core);\n'
+        "t->recorder->record(FrKind::MsgSend, now, node, addr);\n"
+        "t->packets->onVaGrant(id, pkt, now);\n"
+        "t->trace->duration(TrackGroup::Directories, 0, n, now, 2);\n"
+        "t->trace->instant(TrackGroup::Routers, 0, n, now);\n"))]
+    if len(check_hook_outside_stream(hooks)) == 5:
+        print("lint_inpg --self-test: ok: every retired hook form fires "
+              "hook-outside-stream")
+    else:
+        print("lint_inpg --self-test: MISSED: every retired hook form "
+              "fires hook-outside-stream")
+        failures.add("hook-forms")
+
+    # ... while the telemetry layer's own dispatch, the harness readers,
+    # the emit() call itself and an explicit opt-out stay legal.
+    stream = [
+        (Path("src/telemetry/telemetry.cc"), strip_comments(
+            "t->lco->opIssued(e.node, e.cycle);\n")),
+        (Path("src/harness/experiment.cc"), strip_comments(
+            "r.lco = telem->lco->summary();\n")),
+        (Path("src/coh/directory.cc"), strip_comments(
+            "t->emit({SimEventKind::DirArrive, now, node, addr});\n"
+            "// INPG_TRACE_LINE was retired for t->lco-> hooks\n")),
+        (Path("src/noc/ok.cc"), strip_comments(
+            "t->packets->inFlight(); // lint:allow(hook-outside-stream)\n"))]
+    if check_hook_outside_stream(stream):
+        print("lint_inpg --self-test: MISSED: telemetry, harness "
+              "readers, emit() and lint:allow are exempt from "
+              "hook-outside-stream")
+        failures.add("hook-scope")
+    else:
+        print("lint_inpg --self-test: ok: telemetry, harness readers, "
+              "emit() and lint:allow are exempt from "
+              "hook-outside-stream")
+
     # Comment text must never trip a rule (flit.hh documents the former
     # shared_ptr design in prose).
     commented = [(Path("src/noc/doc.hh"),
@@ -720,7 +804,7 @@ def main():
          "shared-ptr-flit", "node-container-noc",
          "unbounded-recording", "threading-outside-parallel",
          "coordinate-arithmetic", "table-row-outside-tables",
-         "ad-hoc-json")))
+         "ad-hoc-json", "hook-outside-stream")))
     return 0
 
 
