@@ -18,6 +18,7 @@ CoherentSystem::CoherentSystem(const NocConfig &noc_cfg,
     // Eight memory controllers on the target chip; scale the count with
     // the mesh so small test meshes get at least one.
     const int num_mcs = std::max(1, std::min(8, noc_cfg.meshWidth));
+    mcs.reserve(static_cast<std::size_t>(num_mcs));
     for (int i = 0; i < num_mcs; ++i) {
         mcs.push_back(
             std::make_unique<MemoryController>(i, sim, cohCfg.memLatency));
@@ -29,6 +30,8 @@ CoherentSystem::CoherentSystem(const NocConfig &noc_cfg,
             br->generator().setCohStats(stats.get());
     }
 
+    l1s.reserve(static_cast<std::size_t>(noc_cfg.numNodes()));
+    dirs.reserve(static_cast<std::size_t>(noc_cfg.numNodes()));
     for (NodeId n = 0; n < noc_cfg.numNodes(); ++n) {
         l1s.push_back(std::make_unique<L1Controller>(
             n, n, cohCfg, *net, sim, stats.get()));

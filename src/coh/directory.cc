@@ -16,7 +16,6 @@ constexpr std::string_view DIR_COUNTERS[] = {
 constexpr std::string_view DIR_SAMPLES[] = {
     "queue_depth_at_dequeue",
 };
-static_assert(sortedKeys(DIR_COUNTERS) && sortedKeys(DIR_SAMPLES));
 constexpr StatKeys DIR_KEYS{DIR_COUNTERS, DIR_SAMPLES};
 
 /** Directory-entry state as classified by the protocol table. */
@@ -50,10 +49,10 @@ dirEventFor(const CohMsgPtr &msg)
 Directory::Directory(NodeId node_id, const CohConfig &config,
                      Network &network, Simulator &simulator,
                      MemoryController *memory, CohStats *coh_stats)
-    : node(node_id), cfg(config), net(network), sim(simulator),
+    : stats("dir", node_id, DIR_KEYS), node(node_id), cfg(config),
+      net(network), sim(simulator),
       mem(memory), cohStats(coh_stats)
 {
-    stats = StatGroup(format("dir%d", node_id), DIR_KEYS);
     msgsReceivedCtr =
         &stats.counterAt(keyIndex(DIR_COUNTERS, "msgs_received"));
     msgsSentCtr = &stats.counterAt(keyIndex(DIR_COUNTERS, "msgs_sent"));
@@ -120,8 +119,7 @@ Directory::tick(Cycle now)
     if (now < busyUntil)
         return; // stay awake: nothing will wake us at busyUntil
 
-    CohMsgPtr msg = queue.front();
-    queue.pop_front();
+    CohMsgPtr msg = queue.pop_front();
     queueDepthSample->add(static_cast<double>(queue.size()));
 
     const Cycle cost = msg->kind == CohMsgKind::InvAck ? cfg.dirAckLatency
@@ -499,12 +497,8 @@ Directory::debugJson(Cycle now) const
         out["busy_for"] = static_cast<std::uint64_t>(busyUntil - now);
     out["blocked_on_fetch"] = blockedOnFetch;
     JsonValue queued = JsonValue::array();
-    std::size_t shown = 0;
-    for (const CohMsgPtr &m : queue) {
-        if (++shown > 8)
-            break;
-        queued.push(m->toString());
-    }
+    for (std::size_t i = 0; i < queue.size() && i < 8; ++i)
+        queued.push(queue[i]->toString());
     out["queued"] = std::move(queued);
     return out;
 }

@@ -13,7 +13,6 @@
 #ifndef INPG_COH_DIRECTORY_HH
 #define INPG_COH_DIRECTORY_HH
 
-#include <deque>
 #include <set>
 
 #include "coh/coh_config.hh"
@@ -24,6 +23,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "noc/network.hh"
+#include "noc/ring_buffer.hh"
 #include "sim/simulator.hh"
 #include "sim/ticking.hh"
 #include "telemetry/json.hh"
@@ -127,7 +127,7 @@ class Directory : public Ticking
 
     /** Line table (protocol code never iterates it). */
     FlatHashMap<Addr, DirEntry> entries;
-    std::deque<CohMsgPtr> queue;
+    RingBuffer<CohMsgPtr, 8> queue;
 
     /** Cached hot stat handles (eager keys, taken by index). */
     std::uint64_t *msgsReceivedCtr = nullptr;

@@ -16,16 +16,6 @@ GoldenMemory::record(const OpRecord &rec)
     log.push_back(rec);
 }
 
-std::vector<OpRecord>
-GoldenMemory::recordsFor(Addr addr) const
-{
-    std::vector<OpRecord> out;
-    for (const auto &r : log)
-        if (r.addr == addr)
-            out.push_back(r);
-    return out;
-}
-
 std::uint64_t
 GoldenMemory::finalValue(Addr addr) const
 {

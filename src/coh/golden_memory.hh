@@ -46,9 +46,6 @@ class GoldenMemory
     /** Number of recorded operations. */
     std::size_t size() const { return log.size(); }
 
-    /** All records involving an address, in completion order. */
-    std::vector<OpRecord> recordsFor(Addr addr) const;
-
     const std::vector<OpRecord> &records() const { return log; }
 
   private:

@@ -1,6 +1,6 @@
 #include "coh/l1_controller.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "coh/protocol_tables.hh"
 #include "common/logging.hh"
@@ -48,8 +48,21 @@ constexpr std::string_view L1_SAMPLES[] = {
     "lock_rmw_latency",
     "write_latency",
 };
-static_assert(sortedKeys(L1_COUNTERS) && sortedKeys(L1_SAMPLES));
 constexpr StatKeys L1_KEYS{L1_COUNTERS, L1_SAMPLES};
+
+/**
+ * Stable sort of a forward queue by epoch. Insertion sort: the queue
+ * holds a handful of forwards, and swapping only on a strictly smaller
+ * epoch keeps equal epochs in arrival order.
+ */
+template <typename Queue>
+void
+sortByEpoch(Queue &q)
+{
+    for (std::size_t i = 1; i < q.size(); ++i)
+        for (std::size_t j = i; j > 0 && q[j]->epoch < q[j - 1]->epoch; --j)
+            std::swap(q[j], q[j - 1]);
+}
 
 } // namespace
 
@@ -74,10 +87,10 @@ l1StateName(L1State s)
 L1Controller::L1Controller(CoreId core_id, NodeId node_id,
                            const CohConfig &config, Network &network,
                            Simulator &simulator, CohStats *coh_stats)
-    : core(core_id), node(node_id), cfg(config), net(network),
+    : stats("l1_", core_id, L1_KEYS), core(core_id), node(node_id),
+      cfg(config), net(network),
       sim(simulator), cohStats(coh_stats)
 {
-    stats = StatGroup(format("l1_%d", core_id), L1_KEYS);
     // Cached: bumped once per retired memory op; also the watchdog's
     // per-core retirement progress signal.
     opsCompletedCtr = &stats.counterAt(keyIndex(L1_COUNTERS, "ops_completed"));
@@ -312,19 +325,15 @@ L1Controller::executePendingOp(Cycle now)
         // our write. A pre-epoch FwdGetX cannot be deferred here (the
         // previous tenure must have ended for this GetX to exist), so
         // the line stays ours.
-        std::stable_sort(deferredForwards.begin(), deferredForwards.end(),
-                         [](const CohMsgPtr &a, const CohMsgPtr &b) {
-                             return a->epoch < b->epoch;
-                         });
+        sortByEpoch(deferredForwards);
         l.value = op.data;
         l.state = L1State::M;
         while (!deferredForwards.empty() &&
                deferredForwards.front()->epoch < op.myEpoch) {
-            CohMsgPtr fwd = deferredForwards.front();
+            CohMsgPtr fwd = deferredForwards.pop_front();
             INPG_ASSERT(fwd->kind == CohMsgKind::FwdGetS,
                         "core %d: pre-epoch %s deferred", core,
                         fwd->toString().c_str());
-            deferredForwards.pop_front();
             serveForward(fwd, now);
             ++*preEpochFwdServedCtr;
         }
@@ -439,9 +448,7 @@ void
 L1Controller::processDeferredForwards(Cycle now)
 {
     while (!deferredForwards.empty()) {
-        CohMsgPtr msg = deferredForwards.front();
-        deferredForwards.pop_front();
-        serveForward(msg, now);
+        serveForward(deferredForwards.pop_front(), now);
     }
 }
 
@@ -506,15 +513,10 @@ L1Controller::learnEpoch(std::uint64_t epoch, Cycle now)
     if (!(l.state == L1State::M || l.state == L1State::E ||
           l.state == L1State::O))
         return;
-    std::stable_sort(deferredForwards.begin(), deferredForwards.end(),
-                     [](const CohMsgPtr &a, const CohMsgPtr &b) {
-                         return a->epoch < b->epoch;
-                     });
+    sortByEpoch(deferredForwards);
     while (!deferredForwards.empty() &&
            deferredForwards.front()->epoch < epoch) {
-        CohMsgPtr fwd = deferredForwards.front();
-        deferredForwards.pop_front();
-        serveForward(fwd, now);
+        serveForward(deferredForwards.pop_front(), now);
         ++*preEpochFwdServedEarlyCtr;
     }
 }
@@ -765,8 +767,8 @@ L1Controller::debugState() const
     } else {
         out += " no-pending";
     }
-    for (const auto &d : deferredForwards)
-        out += format(" defer[%s]", d->toString().c_str());
+    for (std::size_t i = 0; i < deferredForwards.size(); ++i)
+        out += format(" defer[%s]", deferredForwards[i]->toString().c_str());
     return out;
 }
 

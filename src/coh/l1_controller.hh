@@ -17,7 +17,6 @@
 #ifndef INPG_COH_L1_CONTROLLER_HH
 #define INPG_COH_L1_CONTROLLER_HH
 
-#include <deque>
 #include <functional>
 #include <optional>
 
@@ -28,6 +27,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "noc/network.hh"
+#include "noc/ring_buffer.hh"
 #include "sim/simulator.hh"
 
 namespace inpg {
@@ -250,7 +250,7 @@ class L1Controller
     /** Line table (protocol code never iterates it). */
     FlatHashMap<Addr, Line> lines;
     std::optional<Pending> pending;
-    std::deque<CohMsgPtr> deferredForwards;
+    RingBuffer<CohMsgPtr, 4> deferredForwards;
     int nextPriority = 0;
 };
 

@@ -7,10 +7,9 @@ namespace inpg {
 MemoryController::MemoryController(int mc_id, Simulator &simulator,
                                    Cycle access_latency,
                                    Cycle service_interval)
-    : mcId(mc_id), sim(simulator), latency(access_latency),
-      serviceInterval(service_interval)
+    : stats("mc", mc_id), mcId(mc_id), sim(simulator),
+      latency(access_latency), serviceInterval(service_interval)
 {
-    stats = StatGroup(format("mc%d", mc_id));
 }
 
 void

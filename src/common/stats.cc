@@ -11,14 +11,13 @@ namespace {
 const SampleStat EMPTY_SAMPLE;
 } // namespace
 
-StatGroup::StatGroup(std::string group_name, const StatKeys &eager_keys)
-    : name(std::move(group_name)), keys(eager_keys)
+StatGroup::StatGroup(std::string prefix, int id, const StatKeys &eager_keys)
+    : name(std::move(prefix)), nameId(id), keys(eager_keys)
 {
-    INPG_ASSERT(sortedKeys(keys.counters) && sortedKeys(keys.samples),
-                "stat group %s: eager keys must be strictly ascending",
-                name.c_str());
     const std::size_t ns = keys.samples.size();
     const std::size_t nc = keys.counters.size();
+    if (ns + nc == 0)
+        return;
     // operator new[] alignment covers both SampleStat and uint64_t, and
     // the counters start on a SampleStat boundary.
     static_assert(alignof(SampleStat) >= alignof(std::uint64_t));
@@ -35,6 +34,7 @@ StatGroup &
 StatGroup::operator=(StatGroup &&other) noexcept
 {
     name = std::move(other.name);
+    nameId = other.nameId;
     keys = std::exchange(other.keys, StatKeys{});
     block = std::move(other.block);
     samples = std::exchange(other.samples, nullptr);
@@ -105,14 +105,21 @@ StatGroup::reset()
 }
 
 std::string
+StatGroup::groupName() const
+{
+    return nameId < 0 ? name : name + std::to_string(nameId);
+}
+
+std::string
 StatGroup::dump() const
 {
+    const std::string label = groupName();
     std::ostringstream os;
     forEachCounter([&](std::string_view key, std::uint64_t v) {
-        os << name << "." << key << " = " << v << "\n";
+        os << label << "." << key << " = " << v << "\n";
     });
     forEachSample([&](std::string_view key, const SampleStat &s) {
-        os << name << "." << key << " = mean " << s.mean() << " min "
+        os << label << "." << key << " = mean " << s.mean() << " min "
            << s.min() << " max " << s.max() << " n " << s.count()
            << "\n";
     });

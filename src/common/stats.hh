@@ -60,17 +60,6 @@ class SampleStat
     double hi = 0;
 };
 
-/**
- * The keys a component class registers when it is constructed: one
- * static table per class, shared by every instance. Each list must be
- * strictly ascending (check with sortedKeys() in a static_assert), so
- * a key's index is its rank and iteration can merge without sorting.
- */
-struct StatKeys {
-    std::span<const std::string_view> counters;
-    std::span<const std::string_view> samples;
-};
-
 /** True when `keys` is strictly ascending (usable in static_assert). */
 constexpr bool
 sortedKeys(std::span<const std::string_view> keys)
@@ -80,6 +69,28 @@ sortedKeys(std::span<const std::string_view> keys)
             return false;
     return true;
 }
+
+/**
+ * The keys a component class registers when it is constructed: one
+ * static table per class, shared by every instance. Each list must be
+ * strictly ascending, so a key's index is its rank and iteration can
+ * merge without sorting; the constructor is consteval, so an unsorted
+ * table is a compile error and groups never re-check it at run time.
+ */
+struct StatKeys {
+    constexpr StatKeys() = default;
+
+    consteval StatKeys(std::span<const std::string_view> counter_keys,
+                       std::span<const std::string_view> sample_keys)
+        : counters(counter_keys), samples(sample_keys)
+    {
+        if (!sortedKeys(counters) || !sortedKeys(samples))
+            throw "StatKeys tables must be strictly ascending";
+    }
+
+    std::span<const std::string_view> counters;
+    std::span<const std::string_view> samples;
+};
 
 /**
  * Index of `key` in a static key table, evaluated at compile time; a
@@ -114,12 +125,20 @@ keyIndex(std::span<const std::string_view> table, std::string_view key)
 class StatGroup
 {
   public:
-    explicit StatGroup(std::string group_name = "")
-        : name(std::move(group_name))
-    {}
+    /**
+     * Group of component `id`, with eager keys from a static table:
+     * named `prefix` followed by the id ("router" and 12 make
+     * "router12"). The numbered name is built only when printed
+     * (groupName(), dump()), never at construction. A negative id
+     * names the group `prefix` alone.
+     */
+    explicit StatGroup(std::string prefix = "", int id = -1,
+                       const StatKeys &eager_keys = {});
 
-    /** Group whose eager keys come from a static table. */
-    StatGroup(std::string group_name, const StatKeys &eager_keys);
+    /** Unnumbered group whose eager keys come from a static table. */
+    StatGroup(std::string group_name, const StatKeys &eager_keys)
+        : StatGroup(std::move(group_name), -1, eager_keys)
+    {}
 
     StatGroup(StatGroup &&other) noexcept { *this = std::move(other); }
     StatGroup &operator=(StatGroup &&other) noexcept;
@@ -157,8 +176,8 @@ class StatGroup
     /** Zero every counter and sample (keys stay). */
     void reset();
 
-    /** Group name used as a dump prefix. */
-    const std::string &groupName() const { return name; }
+    /** Group name used as a dump prefix (built on each call). */
+    std::string groupName() const;
 
     /** Multi-line "group.key = value" dump. */
     std::string dump() const;
@@ -204,7 +223,9 @@ class StatGroup
     static std::ptrdiff_t find(std::span<const std::string_view> table,
                                std::string_view key);
 
+    /** The name, or its prefix when nameId >= 0. */
     std::string name;
+    int nameId = -1;
     StatKeys keys;
 
     /**

@@ -6,10 +6,9 @@
 namespace inpg {
 
 BigRouter::BigRouter(NodeId node_id, const NocConfig &noc_cfg,
-                     const RoutingAlgorithm *routing,
-                     const InpgConfig &inpg_cfg, const CohConfig &coh_cfg,
-                     Telemetry *telemetry)
-    : Router(node_id, noc_cfg, routing, telemetry),
+                     const RouterEnv &env, const InpgConfig &inpg_cfg,
+                     const CohConfig &coh_cfg)
+    : Router(node_id, noc_cfg, env),
       brNode(node_id * noc_cfg.concentration),
       gen(brNode, inpg_cfg, coh_cfg), cohCfg(coh_cfg),
       // Generated packets need ids that cannot collide with the
@@ -94,17 +93,16 @@ RouterFactory
 makeInpgRouterFactory(const InpgConfig &inpg_cfg, const CohConfig &coh_cfg)
 {
     return [inpg_cfg, coh_cfg](NodeId id, const NocConfig &noc_cfg,
-                               const RoutingAlgorithm *routing,
-                               Telemetry *telemetry)
+                               const RouterEnv &env)
                -> std::unique_ptr<Router> {
         CohConfig coh = coh_cfg;
         coh.numNodes = noc_cfg.numNodes();
         if (isBigRouterNode(id, noc_cfg.meshWidth, noc_cfg.meshHeight,
                             inpg_cfg.numBigRouters)) {
-            return std::make_unique<BigRouter>(id, noc_cfg, routing,
-                                               inpg_cfg, coh, telemetry);
+            return std::make_unique<BigRouter>(id, noc_cfg, env, inpg_cfg,
+                                               coh);
         }
-        return std::make_unique<Router>(id, noc_cfg, routing, telemetry);
+        return std::make_unique<Router>(id, noc_cfg, env);
     };
 }
 

@@ -27,8 +27,8 @@ class BigRouter : public Router
 {
   public:
     BigRouter(NodeId node_id, const NocConfig &noc_cfg,
-              const RoutingAlgorithm *routing, const InpgConfig &inpg_cfg,
-              const CohConfig &coh_cfg, Telemetry *telemetry = nullptr);
+              const RouterEnv &env, const InpgConfig &inpg_cfg,
+              const CohConfig &coh_cfg);
 
     bool isBigRouter() const override { return true; }
 

@@ -9,11 +9,11 @@ namespace inpg {
 
 LockBarrierTable::LockBarrierTable(std::size_t max_barriers,
                                    std::size_t max_eis, Cycle ttl_cycles)
-    : barrierCapacity(max_barriers), eiCapacity(max_eis), ttl(ttl_cycles)
+    : stats("barrier_table"), barrierCapacity(max_barriers),
+      eiCapacity(max_eis), ttl(ttl_cycles)
 {
     INPG_ASSERT(max_barriers >= 1 && max_eis >= 1,
                 "locking barrier table needs capacity");
-    stats = StatGroup("barrier_table");
 }
 
 LockBarrierTable::Barrier *

@@ -20,10 +20,10 @@ isBigRouterNode(NodeId node, int mesh_w, int mesh_h, int count)
 
 PacketGenerator::PacketGenerator(NodeId node_id, const InpgConfig &config,
                                  const CohConfig &coh_config)
-    : node(node_id), cfg(config), cohCfg(coh_config),
+    : stats("pktgen", node_id), node(node_id), cfg(config),
+      cohCfg(coh_config),
       table(config.barrierEntries, config.eiEntries, config.barrierTtl)
 {
-    stats = StatGroup(format("pktgen%d", node_id));
 }
 
 BrState

@@ -15,12 +15,17 @@ Network::Network(const NocConfig &config, Simulator &sim,
 
     // Routers and NIs keep the event stream installed in the kernel.
     Telemetry *telem = sim.telemetry();
+    const std::size_t vc_bytes = Router::vcStorageBytes(cfg);
+    vcSlab = std::make_unique<std::byte[]>(static_cast<std::size_t>(n) *
+                                           vc_bytes);
     for (NodeId id = 0; id < n; ++id) {
+        const RouterEnv env{routingAlgo.get(), telem,
+                            vcSlab.get() +
+                                static_cast<std::size_t>(id) * vc_bytes};
         if (factory)
-            routers.push_back(factory(id, cfg, routingAlgo.get(), telem));
+            routers.push_back(factory(id, cfg, env));
         else
-            routers.push_back(std::make_unique<Router>(
-                id, cfg, routingAlgo.get(), telem));
+            routers.push_back(std::make_unique<Router>(id, cfg, env));
         nis.push_back(std::make_unique<NetworkInterface>(id, cfg, telem));
     }
 
@@ -116,34 +121,12 @@ Network::quiescent() const
 }
 
 std::uint64_t
-Network::routerCounterTotal(std::string_view key) const
-{
-    std::uint64_t total = 0;
-    for (const auto &r : routers)
-        total += r->stats.value(key);
-    return total;
-}
-
-std::uint64_t
 Network::niCounterTotal(std::string_view key) const
 {
     std::uint64_t total = 0;
     for (const auto &ni_ptr : nis)
         total += ni_ptr->stats.value(key);
     return total;
-}
-
-double
-Network::meanPacketLatency() const
-{
-    double sum = 0;
-    std::uint64_t n = 0;
-    for (const auto &ni_ptr : nis) {
-        const SampleStat &s = ni_ptr->stats.sampleValue("packet_latency");
-        sum += s.sum();
-        n += s.count();
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
 }
 
 } // namespace inpg

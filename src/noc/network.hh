@@ -8,6 +8,7 @@
 #ifndef INPG_NOC_NETWORK_HH
 #define INPG_NOC_NETWORK_HH
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string_view>
@@ -27,11 +28,10 @@ namespace inpg {
 
 /**
  * Creates the router for a node; the harness substitutes BigRouter
- * instances at iNPG deployment sites through this hook. The last
- * argument is the telemetry event stream (null when off).
+ * instances at iNPG deployment sites through this hook.
  */
 using RouterFactory = std::function<std::unique_ptr<Router>(
-    NodeId, const NocConfig &, const RoutingAlgorithm *, Telemetry *)>;
+    NodeId, const NocConfig &, const RouterEnv &)>;
 
 /** The complete on-chip network of one simulated system. */
 class Network
@@ -82,19 +82,18 @@ class Network
     /** True when no flit or packet is anywhere in the fabric. */
     bool quiescent() const;
 
-    /** Sum a counter across all routers. */
-    std::uint64_t routerCounterTotal(std::string_view key) const;
-
     /** Sum a counter across all NIs. */
     std::uint64_t niCounterTotal(std::string_view key) const;
-
-    /** Mean end-to-end packet latency observed at the NIs. */
-    double meanPacketLatency() const;
 
   private:
     NocConfig cfg;
     std::unique_ptr<Topology> topo;
     std::unique_ptr<RoutingAlgorithm> routingAlgo;
+    /**
+     * Every router's input-VC storage (Router::vcStorageBytes() each),
+     * in one block; declared before `routers` so it outlives them.
+     */
+    std::unique_ptr<std::byte[]> vcSlab;
     std::vector<std::unique_ptr<Router>> routers;
     std::vector<std::unique_ptr<NetworkInterface>> nis;
     /**

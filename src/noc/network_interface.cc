@@ -17,18 +17,17 @@ constexpr std::string_view NI_COUNTERS[] = {
 constexpr std::string_view NI_SAMPLES[] = {
     "packet_latency",
 };
-static_assert(sortedKeys(NI_COUNTERS) && sortedKeys(NI_SAMPLES));
 constexpr StatKeys NI_KEYS{NI_COUNTERS, NI_SAMPLES};
 
 } // namespace
 
 NetworkInterface::NetworkInterface(NodeId node_id, const NocConfig &config,
                                    Telemetry *telemetry)
-    : id(node_id), cfg(config), baseNode(node_id * cfg.concentration),
+    : stats("ni", node_id, NI_KEYS), id(node_id), cfg(config),
+      baseNode(node_id * cfg.concentration),
       deliver(static_cast<std::size_t>(cfg.concentration)),
       routerPort(cfg.totalVcs(), cfg.vcDepth), telem(telemetry)
 {
-    stats = StatGroup(format("ni%d", node_id), NI_KEYS);
     packetsQueuedCtr =
         &stats.counterAt(keyIndex(NI_COUNTERS, "packets_queued"));
     packetsDeliveredCtr =

@@ -4,7 +4,8 @@
  *
  * Every FIFO the flit path touches per hop -- link delay lines, VC
  * buffers, the NI inject queues, the generator queue -- used to be a
- * std::deque. A deque allocates its map and chunk nodes lazily, chases
+ * std::deque, as did the directory request queue and the L1's
+ * deferred-forward queue. A deque allocates its map and chunk nodes lazily, chases
  * a double indirection on front()/back(), and its elements straddle
  * cache lines; on the hot path that cost shows up on every hop of
  * every flit. RingBuffer stores elements in one flat pow2 array with
@@ -12,8 +13,8 @@
  * warm buffer performs zero heap allocation in steady state.
  *
  * The initial capacity lives inline in the object, so building a
- * buffer (one per link pipe, NI vnet queue and router generator queue)
- * touches no heap at all. Growth past it spills to a heap array and
+ * buffer (one per link pipe, NI vnet queue, router generator queue,
+ * directory and L1) touches no heap at all. Growth past it spills to a heap array and
  * from then on doubles the capacity (preserving FIFO order), so a cold
  * buffer warms up once and then never allocates again. Determinism:
  * growth depends only on occupancy, never on host state.
@@ -79,6 +80,21 @@ class RingBuffer
     {
         INPG_ASSERT(count > 0, "front() on empty ring buffer");
         return data[head];
+    }
+
+    /** The i-th element from the front (0 == front()). */
+    T &
+    operator[](std::size_t i)
+    {
+        INPG_ASSERT(i < count, "ring buffer index %zu of %zu", i, count);
+        return data[(head + i) & mask];
+    }
+
+    const T &
+    operator[](std::size_t i) const
+    {
+        INPG_ASSERT(i < count, "ring buffer index %zu of %zu", i, count);
+        return data[(head + i) & mask];
     }
 
     void

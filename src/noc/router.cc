@@ -26,17 +26,27 @@ constexpr std::string_view ROUTER_COUNTERS[] = {
     "packets_routed",
     "va_grants",
 };
-static_assert(sortedKeys(ROUTER_COUNTERS));
 constexpr StatKeys ROUTER_KEYS{ROUTER_COUNTERS, {}};
 
 } // namespace
 
+std::size_t
+Router::vcStorageBytes(const NocConfig &cfg)
+{
+    return VcStateArray::storageBytes(NUM_PORTS + 1, cfg.totalVcs(),
+                                      cfg.vcDepth);
+}
+
 Router::Router(NodeId node_id, const NocConfig &config_in,
-               const RoutingAlgorithm *routing, Telemetry *telemetry)
-    : id(node_id), cfg(config_in),
+               const RouterEnv &env)
+    : stats("router", node_id, ROUTER_KEYS), id(node_id), cfg(config_in),
+      routeRow(env.routing->rowSize()),
+      routeKeys(env.routing->routeKeys()),
+      routeFirst(env.routing->firstCoordOf(node_id)),
       // Sized for every port the router can ever have (the generator
       // port arrives after construction).
-      inVcs(NUM_PORTS + 1, config_in.totalVcs(), config_in.vcDepth),
+      inVcs(NUM_PORTS + 1, config_in.totalVcs(), config_in.vcDepth,
+            env.vcStorage),
       outputs(filledArray<OutputUnit, NUM_PORTS>(config_in.totalVcs(),
                                                  config_in.vcDepth)),
       saInportArb(filledArray<PriorityArbiter, NUM_PORTS + 1>(
@@ -44,13 +54,9 @@ Router::Router(NodeId node_id, const NocConfig &config_in,
           config_in.agingQuantum)),
       saOutportArb(filledArray<PriorityArbiter, NUM_PORTS>(
           std::size_t{NUM_PORTS + 1}, config_in.agingQuantum)),
-      telem(telemetry)
+      telem(env.telemetry)
 {
-    INPG_ASSERT(routing != nullptr, "router %d needs a routing algorithm",
-                node_id);
-    routeTable.resize(static_cast<std::size_t>(cfg.numNodes()));
-    routing->fillRow(node_id, routeTable);
-    stats = StatGroup(format("router%d", node_id), ROUTER_KEYS);
+    env.routing->fillRow(node_id, routeRow);
     nInPorts = NUM_PORTS;
     inportWinnerScratch.fill(INVALID_VC);
     flitsReceivedCtr =
@@ -315,8 +321,8 @@ Router::tryAllocateVc(int port, VcId v, Cycle now)
         const FlitPtr &front = a.front(s);
         INPG_ASSERT(isHeadFlit(front->type),
                     "non-head flit at front of idle VC %d", v);
-        const RouteEntry &entry =
-            routeTable[static_cast<std::size_t>(front->packet->dst)];
+        const RouteEntry entry = routeRow[RoutingAlgorithm::rowIndex(
+            routeKeys[front->packet->dst], routeFirst)];
         a.outPort[s] = entry.dir;
         a.outClass[s] = entry.vcClass;
         a.outVc[s] = INVALID_VC;

@@ -19,6 +19,7 @@
 #define INPG_NOC_ROUTER_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -40,18 +41,32 @@ namespace inpg {
 
 class Telemetry;
 
+/** What the Network hands every router it builds. */
+struct RouterEnv {
+    /** Routing algorithm (not owned; outlives the router). */
+    const RoutingAlgorithm *routing = nullptr;
+    /** Event stream; null when telemetry is off. */
+    Telemetry *telemetry = nullptr;
+    /**
+     * Zeroed block of VcStateArray::storageBytes() for the router's
+     * input VCs (NUM_PORTS + 1 ports), carved from the Network's slab.
+     */
+    std::byte *vcStorage = nullptr;
+};
+
 /** Baseline ("normal") NoC router. */
 class Router : public Ticking
 {
   public:
     /**
-     * @param node_id   mesh node this router serves
-     * @param cfg       shared NoC configuration (copied)
-     * @param routing   routing algorithm (not owned; outlives the router)
-     * @param telemetry event stream; null when telemetry is off
+     * @param node_id mesh node this router serves
+     * @param cfg     shared NoC configuration (copied)
+     * @param env     routing, telemetry and VC storage from the Network
      */
-    Router(NodeId node_id, const NocConfig &cfg,
-           const RoutingAlgorithm *routing, Telemetry *telemetry = nullptr);
+    Router(NodeId node_id, const NocConfig &cfg, const RouterEnv &env);
+
+    /** VC storage bytes a router built from `cfg` needs (RouterEnv). */
+    static std::size_t vcStorageBytes(const NocConfig &cfg);
 
     ~Router() override = default;
 
@@ -185,13 +200,18 @@ class Router : public Ticking
     NocConfig cfg;
 
     /**
-     * Destination-indexed route table (output port + dateline VC
-     * class), filled by the topology's routing algorithm at
-     * construction. iNPG destination rewrites happen in
-     * onHeadFlitArrived, before route computation, so a static table
-     * stays correct.
+     * Compact route row (output port + dateline VC class), width +
+     * height entries filled by the topology's routing algorithm at
+     * construction; a head flit's entry is
+     * routeRow[RoutingAlgorithm::rowIndex(routeKeys[dst], routeFirst)].
+     * iNPG destination rewrites happen in onHeadFlitArrived, before
+     * route computation, so a static row stays correct.
      */
-    std::vector<RouteEntry> routeTable;
+    std::vector<RouteEntry> routeRow;
+    /** The routing algorithm's per-destination keys (shared). */
+    const RouteKey *routeKeys;
+    /** This router's own first-routed coordinate. */
+    std::uint16_t routeFirst;
 
     /**
      * Input-VC state of every port, sized at construction for the

@@ -101,11 +101,50 @@ MeshShape::hopDistance(NodeId a, NodeId b) const
     return std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y);
 }
 
-RouteEntry
-YXRouting::routeEntry(NodeId here, NodeId dst) const
+RoutingAlgorithm::RoutingAlgorithm(MeshShape mesh_shape, RoutingKind order,
+                                   int concentration)
+    : shape(mesh_shape), xFirst(order == RoutingKind::XY),
+      conc(concentration),
+      rowLen(static_cast<std::size_t>(shape.width() + shape.height()))
 {
-    Coord ch = shape.coordOf(here);
-    Coord cd = shape.coordOf(dstRouter(dst));
+    INPG_ASSERT(rowLen <= 0xffff, "%dx%d grid overflows the route keys",
+                shape.width(), shape.height());
+    const int first_extent = xFirst ? shape.width() : shape.height();
+    keys.resize(static_cast<std::size_t>(shape.numNodes() * conc));
+    for (std::size_t node = 0; node < keys.size(); ++node) {
+        const Coord c = shape.coordOf(dstRouter(static_cast<NodeId>(node)));
+        keys[node].first = static_cast<std::uint16_t>(xFirst ? c.x : c.y);
+        keys[node].second =
+            static_cast<std::uint16_t>(first_extent + (xFirst ? c.y : c.x));
+    }
+}
+
+void
+RoutingAlgorithm::fillRow(NodeId here, std::span<RouteEntry> row) const
+{
+    INPG_ASSERT(row.size() == rowLen, "route row of %zu", row.size());
+    const Coord h = shape.coordOf(here);
+    std::size_t i = 0;
+    const auto along_x = [&] {
+        for (int x = 0; x < shape.width(); ++x)
+            row[i++] = routeBetween(h, {x, h.y});
+    };
+    const auto along_y = [&] {
+        for (int y = 0; y < shape.height(); ++y)
+            row[i++] = routeBetween(h, {h.x, y});
+    };
+    if (xFirst) {
+        along_x();
+        along_y();
+    } else {
+        along_y();
+        along_x();
+    }
+}
+
+RouteEntry
+YXRouting::routeBetween(Coord ch, Coord cd) const
+{
     if (ch.y < cd.y)
         return {Direction::South, VC_CLASS_ANY};
     if (ch.y > cd.y)
@@ -118,10 +157,8 @@ YXRouting::routeEntry(NodeId here, NodeId dst) const
 }
 
 RouteEntry
-XYRouting::routeEntry(NodeId here, NodeId dst) const
+XYRouting::routeBetween(Coord ch, Coord cd) const
 {
-    Coord ch = shape.coordOf(here);
-    Coord cd = shape.coordOf(dstRouter(dst));
     if (ch.x < cd.x)
         return {Direction::East, VC_CLASS_ANY};
     if (ch.x > cd.x)
@@ -135,9 +172,7 @@ XYRouting::routeEntry(NodeId here, NodeId dst) const
 
 TorusRouting::TorusRouting(MeshShape mesh_shape, RoutingKind order,
                            bool escape_vcs, int concentration)
-    : RoutingAlgorithm(concentration),
-      shape(mesh_shape),
-      xFirst(order == RoutingKind::XY),
+    : RoutingAlgorithm(mesh_shape, order, concentration),
       escapeVcs(escape_vcs)
 {
     if (shape.width() < 3 || shape.height() < 3)
@@ -171,10 +206,8 @@ TorusRouting::routeDim(int here_c, int dst_c, int extent,
 }
 
 RouteEntry
-TorusRouting::routeEntry(NodeId here, NodeId dst) const
+TorusRouting::routeBetween(Coord ch, Coord cd) const
 {
-    Coord ch = shape.coordOf(here);
-    Coord cd = shape.coordOf(dstRouter(dst));
     const RouteEntry x_hop = routeDim(ch.x, cd.x, shape.width(),
                                       Direction::East, Direction::West);
     const RouteEntry y_hop = routeDim(ch.y, cd.y, shape.height(),

@@ -102,18 +102,36 @@ class MeshShape
 };
 
 /**
+ * Where a destination's decision sits in a router's compact route row
+ * (see RoutingAlgorithm::fillRow): `first` is the destination router's
+ * coordinate in the dimension routed first (x under XY, y under YX);
+ * `second` is the first dimension's extent plus its coordinate in the
+ * other dimension.
+ */
+struct RouteKey {
+    std::uint16_t first = 0;
+    std::uint16_t second = 0;
+};
+
+/**
  * Strategy interface: pick the output port (and downstream VC class)
  * toward a destination node. `here` is always a router id; `dst` is a
  * node (core) id -- under concentration several nodes share a router,
  * so the algorithm maps dst to its router before comparing
  * coordinates.
+ *
+ * Every algorithm here is dimension-order: while the destination
+ * router differs from `here` in the first-routed coordinate, the
+ * decision depends only on that coordinate (the torus dateline class
+ * included, since it compares one coordinate pair); once aligned, only
+ * on the other one. So a router's decisions fit in a compact row of
+ * width + height entries instead of one per destination.
  */
 class RoutingAlgorithm
 {
   public:
-    explicit RoutingAlgorithm(int concentration = 1)
-        : conc(concentration)
-    {}
+    RoutingAlgorithm(MeshShape mesh_shape, RoutingKind order,
+                     int concentration);
     virtual ~RoutingAlgorithm() = default;
 
     /**
@@ -122,7 +140,12 @@ class RoutingAlgorithm
      * @return port to take from `here` (Local when dst attaches here)
      *         plus the VC class restriction for the next hop.
      */
-    virtual RouteEntry routeEntry(NodeId here, NodeId dst) const = 0;
+    RouteEntry
+    routeEntry(NodeId here, NodeId dst) const
+    {
+        return routeBetween(shape.coordOf(here),
+                            shape.coordOf(dstRouter(dst)));
+    }
 
     /** Port-only view of routeEntry() for callers and legacy tests. */
     Direction
@@ -131,29 +154,54 @@ class RoutingAlgorithm
         return routeEntry(here, dst).dir;
     }
 
+    /** Entries in one router's compact row: width + height. */
+    std::size_t rowSize() const { return rowLen; }
+
     /**
-     * Materialize this router's routing decisions as a dense
-     * destination-indexed row (two bytes per destination) so the RC
-     * pipeline stage can replace the virtual call with an array index.
-     * One virtual call per row: each algorithm loops with its own,
-     * statically bound routeEntry().
+     * Materialize router `here`'s decisions as its compact row so the
+     * RC pipeline stage replaces the virtual call with two array reads
+     * (see rowIndex()). Row layout: for every value of the first-routed
+     * coordinate, a destination in `here`'s line of the other one;
+     * then for every value of the other coordinate, one in `here`'s
+     * first-routed line.
      */
-    virtual void fillRow(NodeId here, std::span<RouteEntry> row) const = 0;
+    void fillRow(NodeId here, std::span<RouteEntry> row) const;
+
+    /** Compact-row key of every destination node, indexed by node id. */
+    const RouteKey *routeKeys() const { return keys.data(); }
+
+    /** `first` of router `here`'s own key (its first-routed coordinate). */
+    std::uint16_t
+    firstCoordOf(NodeId here) const
+    {
+        return keys[static_cast<std::size_t>(here * conc)].first;
+    }
+
+    /**
+     * Index into the compact row of the router whose first-routed
+     * coordinate is `here_first`: the destination's first coordinate
+     * while it differs, its second-dimension slot once aligned.
+     */
+    static std::size_t
+    rowIndex(RouteKey key, std::uint16_t here_first)
+    {
+        return key.first != here_first ? key.first : key.second;
+    }
 
   protected:
-    /** fillRow() body of every algorithm (non-virtual per entry). */
-    template <typename Algo>
-    static void
-    fillRowWith(const Algo &algo, NodeId here, std::span<RouteEntry> row)
-    {
-        for (std::size_t dst = 0; dst < row.size(); ++dst)
-            row[dst] = algo.Algo::routeEntry(here, static_cast<NodeId>(dst));
-    }
+    /** Decision at router coordinate `here` toward router `dst`. */
+    virtual RouteEntry routeBetween(Coord here, Coord dst) const = 0;
 
     /** Router serving a destination node. */
     NodeId dstRouter(NodeId dst) const { return dst / conc; }
 
+    MeshShape shape;
+    bool xFirst;
     int conc;
+
+  private:
+    std::size_t rowLen;
+    std::vector<RouteKey> keys;
 };
 
 /** X-first-then-Y dimension-order routing. */
@@ -161,19 +209,11 @@ class XYRouting : public RoutingAlgorithm
 {
   public:
     explicit XYRouting(MeshShape mesh_shape, int concentration = 1)
-        : RoutingAlgorithm(concentration), shape(mesh_shape)
+        : RoutingAlgorithm(mesh_shape, RoutingKind::XY, concentration)
     {}
 
-    RouteEntry routeEntry(NodeId here, NodeId dst) const override;
-
-    void
-    fillRow(NodeId here, std::span<RouteEntry> row) const override
-    {
-        fillRowWith(*this, here, row);
-    }
-
-  private:
-    MeshShape shape;
+  protected:
+    RouteEntry routeBetween(Coord here, Coord dst) const override;
 };
 
 /**
@@ -185,19 +225,11 @@ class YXRouting : public RoutingAlgorithm
 {
   public:
     explicit YXRouting(MeshShape mesh_shape, int concentration = 1)
-        : RoutingAlgorithm(concentration), shape(mesh_shape)
+        : RoutingAlgorithm(mesh_shape, RoutingKind::YX, concentration)
     {}
 
-    RouteEntry routeEntry(NodeId here, NodeId dst) const override;
-
-    void
-    fillRow(NodeId here, std::span<RouteEntry> row) const override
-    {
-        fillRowWith(*this, here, row);
-    }
-
-  private:
-    MeshShape shape;
+  protected:
+    RouteEntry routeBetween(Coord here, Coord dst) const override;
 };
 
 /**
@@ -217,21 +249,14 @@ class TorusRouting : public RoutingAlgorithm
     TorusRouting(MeshShape mesh_shape, RoutingKind order,
                  bool escape_vcs, int concentration = 1);
 
-    RouteEntry routeEntry(NodeId here, NodeId dst) const override;
-
-    void
-    fillRow(NodeId here, std::span<RouteEntry> row) const override
-    {
-        fillRowWith(*this, here, row);
-    }
+  protected:
+    RouteEntry routeBetween(Coord here, Coord dst) const override;
 
   private:
     /** Decision for one dimension; Local when already aligned. */
     RouteEntry routeDim(int here_c, int dst_c, int extent,
                         Direction inc_dir, Direction dec_dir) const;
 
-    MeshShape shape;
-    bool xFirst;
     bool escapeVcs;
 };
 

@@ -16,8 +16,10 @@
  * rounded up to a power of two) FlitPtr slots per VC, with per-slot
  * head/count counters. Buffering a flit is an index store; popping is
  * an index move -- no deque nodes, no per-VC allocation, ever. The
- * arena and every per-slot array share one heap block, allocated once
- * at construction.
+ * arena and every per-slot array share one zeroed block of
+ * storageBytes() that the owner provides: the Network carves every
+ * router's block out of one slab, so building a fabric makes one
+ * allocation for all its VC state instead of one per router.
  *
  * Candidate tracking is two 32-bit words per port (bit == VC index):
  * VA candidates (Idle VCs holding a head flit, i.e. route-compute
@@ -36,7 +38,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 
 #include "common/logging.hh"
@@ -57,8 +58,21 @@ class VcStateArray
         Active = 2, ///< output VC allocated; flits may traverse
     };
 
-    VcStateArray(int num_ports, int num_vcs, int vc_depth);
+    /**
+     * @param storage zeroed, max_align_t-aligned block of at least
+     *                storageBytes(num_ports, num_vcs, vc_depth) bytes;
+     *                not owned, must outlive the array.
+     */
+    VcStateArray(int num_ports, int num_vcs, int vc_depth,
+                 std::byte *storage);
     ~VcStateArray();
+
+    /**
+     * Bytes of storage one array of this shape needs, rounded up to
+     * alignof(std::max_align_t) so blocks can sit back to back.
+     */
+    static std::size_t storageBytes(int num_ports, int num_vcs,
+                                    int vc_depth);
 
     VcStateArray(const VcStateArray &) = delete;
     VcStateArray &operator=(const VcStateArray &) = delete;
@@ -222,9 +236,6 @@ class VcStateArray
 
     /** Flit slots in the arena (ports x VCs x capPerVc). */
     std::size_t arenaSize;
-
-    /** The one allocation every array below lives in. */
-    std::unique_ptr<std::byte[]> block;
 
     /** Pooled flit arena: slot s owns store[s*capPerVc .. +capPerVc). */
     FlitPtr *store = nullptr;

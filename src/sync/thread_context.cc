@@ -41,7 +41,7 @@ void
 ThreadContext::parallelStep(Cycle remaining)
 {
     // Pure compute when no background traffic is configured.
-    if (prm.memGapCycles <= 0 || prm.bgAddrs.empty()) {
+    if (prm.memGapCycles <= 0) {
         sim.scheduleIn(remaining, [this] { beginAcquire(); });
         return;
     }

@@ -9,7 +9,8 @@
 #ifndef INPG_SYNC_THREAD_CONTEXT_HH
 #define INPG_SYNC_THREAD_CONTEXT_HH
 
-#include <vector>
+#include <array>
+#include <span>
 
 #include "coh/coherent_system.hh"
 #include "common/rng.hh"
@@ -31,10 +32,12 @@ class ThreadContext
         double meanParallelCycles = 1000;
         /** Mean cycles of work inside a critical section. */
         double meanCsCycles = 100;
-        /** Locks this thread competes for (picked uniformly). */
-        std::vector<LockPrimitive *> locks;
-        /** Shared data line updated inside each CS (one per lock). */
-        std::vector<Addr> csData;
+        /** Locks this thread competes for (picked uniformly); the
+         *  caller owns the array and keeps it alive. */
+        std::span<LockPrimitive *const> locks;
+        /** Shared data line updated inside each CS (one per lock;
+         *  caller-owned like `locks`). */
+        std::span<const Addr> csData;
         /**
          * Mean cycles between background memory accesses during the
          * parallel phase (0 = pure compute, no traffic).
@@ -42,7 +45,7 @@ class ThreadContext
         double memGapCycles = 0;
         /** Lines the background accesses touch (shared with a peer
          *  thread so ownership ping-pongs and traffic is sustained). */
-        std::vector<Addr> bgAddrs;
+        std::array<Addr, 4> bgAddrs{};
         std::uint64_t seed = 1;
     };
 

@@ -13,7 +13,8 @@ Workload::Workload(Params params, CoherentSystem &system,
                 "%d threads on %d cores", prm.threads, sys.numCores());
 
     // Locks (and the shared data they protect) homed per profile.
-    std::vector<Addr> cs_data;
+    lockPtrs.reserve(static_cast<std::size_t>(prm.profile.numLocks));
+    csData.reserve(static_cast<std::size_t>(prm.profile.numLocks));
     for (int i = 0; i < prm.profile.numLocks; ++i) {
         NodeId home;
         if (prm.lockHome != INVALID_NODE) {
@@ -28,9 +29,10 @@ Workload::Workload(Params params, CoherentSystem &system,
         }
         lockPtrs.push_back(
             locks.createLock(prm.lockKind, prm.threads, home));
-        cs_data.push_back(locks.allocLine(home));
+        csData.push_back(locks.allocLine(home));
     }
 
+    workers.reserve(static_cast<std::size_t>(prm.threads));
     for (ThreadId t = 0; t < prm.threads; ++t) {
         ThreadContext::Params tp;
         tp.tid = t;
@@ -38,7 +40,7 @@ Workload::Workload(Params params, CoherentSystem &system,
         tp.meanParallelCycles = prm.profile.avgParallelCycles;
         tp.meanCsCycles = prm.profile.avgCsCycles;
         tp.locks = lockPtrs;
-        tp.csData = cs_data;
+        tp.csData = csData;
         tp.memGapCycles = prm.profile.memGapCycles;
         // Background working set: four lines shared with a peer thread
         // (t XOR 1) homed across the mesh, so ownership keeps moving
@@ -50,9 +52,10 @@ Workload::Workload(Params params, CoherentSystem &system,
                 (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL);
             NodeId home = static_cast<NodeId>(
                 h % static_cast<std::uint64_t>(sys.numCores()));
-            tp.bgAddrs.push_back(sys.cohConfig().lineHomedAt(
-                home, 1000 + static_cast<Addr>(pair) * 8 +
-                          static_cast<Addr>(i)));
+            tp.bgAddrs[static_cast<std::size_t>(i)] =
+                sys.cohConfig().lineHomedAt(
+                    home, 1000 + static_cast<Addr>(pair) * 8 +
+                              static_cast<Addr>(i));
         }
         tp.seed = prm.seed;
         workers.push_back(

@@ -72,7 +72,9 @@ class Workload
   private:
     Params prm;
     CoherentSystem &sys;
+    /** Every thread's ThreadContext::Params views these two. */
     std::vector<LockPrimitive *> lockPtrs;
+    std::vector<Addr> csData;
     std::vector<std::unique_ptr<ThreadContext>> workers;
     int csTarget;
 };

@@ -393,12 +393,26 @@ TEST(Stats, EagerKeysExistAtZeroLazyKeysOnFirstBump)
     EXPECT_EQ(g.sampleValue("lat").count(), 0u);
 }
 
+TEST(Stats, NumberedNameIsBuiltWhenPrinted)
+{
+    // Components name their group by a prefix and an id; the string
+    // exists only in groupName() and dump(), and survives a move.
+    StatGroup g("router", 12, TEST_KEYS);
+    ++g.counterAt(0);
+    EXPECT_EQ(g.groupName(), "router12");
+    StatGroup moved(std::move(g));
+    EXPECT_EQ(moved.groupName(), "router12");
+    EXPECT_EQ(moved.dump().rfind("router12.", 0), 0u) << moved.dump();
+    EXPECT_EQ(StatGroup("pktgen", 3).groupName(), "pktgen3");
+    EXPECT_EQ(StatGroup("barrier_table").groupName(), "barrier_table");
+}
+
 TEST(Stats, ConstructorPointersSurviveTheMoveIntoTheMember)
 {
-    // The component pattern: the member is default-built, then
-    // `stats = StatGroup(...)` moves the real group in, and the
-    // constructor caches pointers afterwards -- or before, from a
-    // local group moved later. Both must stay live.
+    // A group moved into a default-built member (the lock primitives'
+    // `stats = StatGroup(name)`), with pointers cached before the move
+    // from the local group, or after it from the member. Both must
+    // stay live.
     StatGroup member;
     StatGroup local("comp", TEST_KEYS);
     std::uint64_t *eager = &local.counterAt(0);

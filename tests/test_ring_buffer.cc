@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -209,11 +211,23 @@ testFlit(FlitType type, VcId vc)
     return f;
 }
 
+/** A VcStateArray over its own zeroed storage (the Network's slab). */
+struct OwnedVcs {
+    OwnedVcs(int ports, int vcs, int depth)
+        : mem(std::make_unique<std::byte[]>(
+              VcStateArray::storageBytes(ports, vcs, depth))),
+          a(ports, vcs, depth, mem.get())
+    {}
+    std::unique_ptr<std::byte[]> mem;
+    VcStateArray a;
+};
+
 TEST(VcStateArray, FitsGuardsTheMaskBudget)
 {
     // 32 VCs per port fill one candidate word: VC 31 is the top bit,
     // and the summary words carry one bit per port.
-    VcStateArray a(/*ports=*/6, /*vcs=*/32, /*depth=*/1);
+    OwnedVcs v(/*ports=*/6, /*vcs=*/32, /*depth=*/1);
+    VcStateArray &a = v.a;
     a.receiveFlit(5, testFlit(FlitType::HeadTail, 31), 1);
     EXPECT_EQ(a.vaCandidates(5), 1u << 31);
     EXPECT_EQ(a.vaPorts(), 1u << 5);
@@ -230,7 +244,8 @@ TEST(VcStateArray, FitsGuardsTheMaskBudget)
 
 TEST(VcStateArray, ReceiveAndPopKeepOccupancyAndMasksInSync)
 {
-    VcStateArray a(/*ports=*/2, /*vcs=*/2, /*depth=*/3);
+    OwnedVcs v(/*ports=*/2, /*vcs=*/2, /*depth=*/3);
+    VcStateArray &a = v.a;
     const std::size_t s = a.slot(1, 1);
     EXPECT_EQ(a.totalOccupancy(), 0u);
     EXPECT_EQ(a.vaPorts(), 0u);
@@ -266,7 +281,8 @@ TEST(VcStateArray, PerVcRingWrapsWithinPooledArena)
 {
     // depth 3 rounds up to a 4-slot ring; cycling depth-many flits
     // through repeatedly walks the ring past its physical end.
-    VcStateArray a(2, 2, 3);
+    OwnedVcs v(2, 2, 3);
+    VcStateArray &a = v.a;
     const std::size_t s = a.slot(0, 1);
     int seq = 0;
     for (int round = 0; round < 8; ++round) {
@@ -289,7 +305,8 @@ TEST(VcStateArray, PerVcRingWrapsWithinPooledArena)
 
 TEST(VcStateArray, MaskLifecycleFollowsVcStates)
 {
-    VcStateArray a(2, 2, 3);
+    OwnedVcs v(2, 2, 3);
+    VcStateArray &a = v.a;
     const std::size_t s = a.slot(0, 0);
     a.receiveFlit(0, testFlit(FlitType::HeadTail, 0), 1);
     EXPECT_EQ(a.vaCandidates(0), 1u);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -268,6 +269,76 @@ TEST(TopologyObject, EvenPlacementCheckerboardAtHalf)
         for (NodeId r = 0; r < 16; ++r)
             n += evenPlacementSite(r, 4, 4, count);
         EXPECT_EQ(n, count) << "count " << count;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Compact route rows: the RC-stage lookup equals routeEntry()
+// ---------------------------------------------------------------------
+
+/**
+ * For every (router, destination node) pair, the router's compact row
+ * read through the shared destination keys -- exactly the head-flit
+ * lookup -- must equal the routing algorithm's own decision.
+ */
+void
+expectCompactRowsMatchRouteEntry(const NocConfig &cfg)
+{
+    auto topo = makeTopology(cfg);
+    auto routing = topo->makeRouting();
+    ASSERT_EQ(routing->rowSize(), static_cast<std::size_t>(
+                                      topo->routerGrid().width() +
+                                      topo->routerGrid().height()));
+    const RouteKey *keys = routing->routeKeys();
+    std::vector<RouteEntry> row(routing->rowSize());
+    for (NodeId here = 0; here < topo->numRouters(); ++here) {
+        routing->fillRow(here, row);
+        const std::uint16_t first = routing->firstCoordOf(here);
+        for (NodeId dst = 0; dst < topo->numNodes(); ++dst) {
+            const std::size_t i = RoutingAlgorithm::rowIndex(keys[dst], first);
+            ASSERT_LT(i, row.size());
+            const RouteEntry want = routing->routeEntry(here, dst);
+            EXPECT_EQ(row[i].dir, want.dir)
+                << topo->name() << " router " << here << " dst " << dst;
+            EXPECT_EQ(row[i].vcClass, want.vcClass)
+                << topo->name() << " router " << here << " dst " << dst;
+        }
+    }
+}
+
+TEST(CompactRouteRows, MatchRouteEntryOnEveryFabric)
+{
+    struct Case {
+        const char *spec;
+        RoutingKind order;
+        bool escapeVcs;
+    };
+    const Case cases[] = {
+        {"mesh:8x8", RoutingKind::XY, true},
+        {"mesh:8x8", RoutingKind::YX, true},
+        {"mesh:8x4", RoutingKind::XY, true},
+        {"mesh:8x4", RoutingKind::YX, true},
+        {"mesh:5x7", RoutingKind::XY, true},
+        {"mesh:5x7", RoutingKind::YX, true},
+        {"torus:8x8", RoutingKind::XY, true},
+        {"torus:8x8", RoutingKind::XY, false},
+        {"torus:3x3", RoutingKind::XY, true},
+        {"torus:3x3", RoutingKind::YX, true},
+        {"torus:3x3", RoutingKind::XY, false},
+        {"torus:5x7", RoutingKind::YX, true},
+        {"torus:8x4", RoutingKind::XY, false},
+        {"cmesh:4x4x4", RoutingKind::XY, true},
+        {"cmesh:4x4x4", RoutingKind::YX, true},
+        {"cmesh:8x4x4", RoutingKind::XY, true},
+    };
+    for (const Case &c : cases) {
+        NocConfig cfg = nocFor(c.spec);
+        cfg.routing = c.order;
+        cfg.escapeVcs = c.escapeVcs;
+        SCOPED_TRACE(std::string(c.spec) +
+                     (c.order == RoutingKind::XY ? " XY" : " YX") +
+                     (c.escapeVcs ? "" : " no-escape"));
+        expectCompactRowsMatchRouteEntry(cfg);
     }
 }
 
