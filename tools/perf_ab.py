@@ -21,7 +21,8 @@ own tree stops the comparison.
 The two sides then run alternately, N >= 5 pairs per workload (the
 order flips every pair so slow drift of the host hits both sides), and
 the tool prints every metric's median and interquartile range per side
-and how many pairs the change won. Each run's build output goes to
+and, for the metrics BENCHMARK.json gives a direction, how many pairs
+the change won. Each run's build output goes to
 <tmp>/<side>-<workload>-<i>.log.
 """
 
@@ -158,15 +159,21 @@ def report(workload, samples, better):
         base = [s[name] for s in samples["base"]]
         change = [s[name] for s in samples["change"]]
         bq, cq = quartiles(base), quartiles(change)
-        lower = better.get(name, "lower") == "lower"
-        won = sum(1 for b, c in zip(base, change)
-                  if (c < b if lower else c > b))
+        # Pairs won only for metrics whose direction BENCHMARK.json
+        # declares; the others print their medians alone.
+        if name in better:
+            lower = better[name] == "lower"
+            won = "%3d/%d" % (sum(1 for b, c in zip(base, change)
+                                  if (c < b if lower else c > b)),
+                              len(base))
+        else:
+            won = "     -"
         delta = ("%+7.1f%%" % (100.0 * (cq[1] - bq[1]) / bq[1])
                  if bq[1] else "     n/a")
         side = "%.4g [%.4g, %.4g]"
-        print("  %-28s %-34s %-34s %s %3d/%d"
+        print("  %-28s %-34s %-34s %s %s"
               % (name, side % (bq[1], bq[0], bq[2]),
-                 side % (cq[1], cq[0], cq[2]), delta, won, len(base)))
+                 side % (cq[1], cq[0], cq[2]), delta, won))
 
 
 def self_test():
