@@ -16,8 +16,8 @@ Network::Network(const NocConfig &config, Simulator &sim,
     // Routers and NIs keep the event stream installed in the kernel.
     Telemetry *telem = sim.telemetry();
     const std::size_t vc_bytes = Router::vcStorageBytes(cfg);
-    vcSlab = std::make_unique<std::byte[]>(static_cast<std::size_t>(n) *
-                                           vc_bytes);
+    vcSlab = std::make_unique_for_overwrite<std::byte[]>(
+        static_cast<std::size_t>(n) * vc_bytes);
     for (NodeId id = 0; id < n; ++id) {
         const RouterEnv env{routingAlgo.get(), telem,
                             vcSlab.get() +

@@ -40,9 +40,6 @@ Router::vcStorageBytes(const NocConfig &cfg)
 Router::Router(NodeId node_id, const NocConfig &config_in,
                const RouterEnv &env)
     : stats("router", node_id, ROUTER_KEYS), id(node_id), cfg(config_in),
-      routeRow(env.routing->rowSize()),
-      routeKeys(env.routing->routeKeys()),
-      routeFirst(env.routing->firstCoordOf(node_id)),
       // Sized for every port the router can ever have (the generator
       // port arrives after construction).
       inVcs(NUM_PORTS + 1, config_in.totalVcs(), config_in.vcDepth,
@@ -56,7 +53,12 @@ Router::Router(NodeId node_id, const NocConfig &config_in,
           std::size_t{NUM_PORTS + 1}, config_in.agingQuantum)),
       telem(env.telemetry)
 {
+    INPG_ASSERT(env.routing != nullptr,
+                "router %d needs a routing algorithm", node_id);
+    routeRow.resize(env.routing->rowSize());
     env.routing->fillRow(node_id, routeRow);
+    routeKeys = env.routing->routeKeys();
+    routeFirst = env.routing->firstCoordOf(node_id);
     nInPorts = NUM_PORTS;
     inportWinnerScratch.fill(INVALID_VC);
     flitsReceivedCtr =

@@ -48,8 +48,8 @@ struct RouterEnv {
     /** Event stream; null when telemetry is off. */
     Telemetry *telemetry = nullptr;
     /**
-     * Zeroed block of VcStateArray::storageBytes() for the router's
-     * input VCs (NUM_PORTS + 1 ports), carved from the Network's slab.
+     * Block of vcStorageBytes() for the router's input VCs, carved
+     * from the Network's slab (see VcStateArray's constructor).
      */
     std::byte *vcStorage = nullptr;
 };
@@ -209,9 +209,9 @@ class Router : public Ticking
      */
     std::vector<RouteEntry> routeRow;
     /** The routing algorithm's per-destination keys (shared). */
-    const RouteKey *routeKeys;
+    const RouteKey *routeKeys = nullptr;
     /** This router's own first-routed coordinate. */
-    std::uint16_t routeFirst;
+    std::uint16_t routeFirst = 0;
 
     /**
      * Input-VC state of every port, sized at construction for the

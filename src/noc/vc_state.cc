@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -66,13 +67,18 @@ VcStateArray::VcStateArray(int num_ports, int num_vcs, int vc_depth,
     INPG_ASSERT(num_ports <= 32 && num_vcs <= 32,
                 "%d ports x %d VCs exceeds the 32-bit mask words",
                 num_ports, num_vcs);
+    INPG_ASSERT(storage != nullptr, "VC array needs storage");
+    INPG_ASSERT(reinterpret_cast<std::uintptr_t>(storage) %
+                        alignof(std::max_align_t) == 0,
+                "VC storage is not max_align_t-aligned");
     const Layout l(num_ports, num_vcs, vc_depth);
     const std::size_t n = l.slots;
     capPerVc = l.capPerVc;
     arenaSize = l.arena;
 
-    // head[], count[] and headAt[] start at the storage's zeros.
+    // Every array is written here, so the storage may hold anything.
     headAt = reinterpret_cast<Cycle *>(storage + l.headAt);
+    std::fill_n(headAt, n, Cycle{0});
     store = reinterpret_cast<FlitPtr *>(storage + l.store);
     std::uninitialized_value_construct_n(store, arenaSize);
     outVc = reinterpret_cast<VcId *>(storage + l.outVc);
@@ -80,7 +86,9 @@ VcStateArray::VcStateArray(int num_ports, int num_vcs, int vc_depth,
     outPort = reinterpret_cast<Direction *>(storage + l.outPort);
     std::fill_n(outPort, n, Direction::Local);
     head = reinterpret_cast<std::uint32_t *>(storage + l.head);
+    std::fill_n(head, n, 0u);
     count = reinterpret_cast<std::uint32_t *>(storage + l.count);
+    std::fill_n(count, n, 0u);
     state = reinterpret_cast<std::uint8_t *>(storage + l.state);
     std::fill_n(state, n, Idle);
     outClass = reinterpret_cast<std::uint8_t *>(storage + l.outClass);

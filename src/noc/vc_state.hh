@@ -16,10 +16,10 @@
  * rounded up to a power of two) FlitPtr slots per VC, with per-slot
  * head/count counters. Buffering a flit is an index store; popping is
  * an index move -- no deque nodes, no per-VC allocation, ever. The
- * arena and every per-slot array share one zeroed block of
- * storageBytes() that the owner provides: the Network carves every
- * router's block out of one slab, so building a fabric makes one
- * allocation for all its VC state instead of one per router.
+ * arena and every per-slot array share one block of storageBytes()
+ * that the owner provides: the Network carves every router's block
+ * out of one slab, so building a fabric makes one allocation for all
+ * its VC state instead of one per router.
  *
  * Candidate tracking is two 32-bit words per port (bit == VC index):
  * VA candidates (Idle VCs holding a head flit, i.e. route-compute
@@ -59,9 +59,9 @@ class VcStateArray
     };
 
     /**
-     * @param storage zeroed, max_align_t-aligned block of at least
-     *                storageBytes(num_ports, num_vcs, vc_depth) bytes;
-     *                not owned, must outlive the array.
+     * @param storage max_align_t-aligned block of at least
+     *                storageBytes(num_ports, num_vcs, vc_depth) bytes,
+     *                any contents; not owned, must outlive the array.
      */
     VcStateArray(int num_ports, int num_vcs, int vc_depth,
                  std::byte *storage);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -211,13 +212,23 @@ testFlit(FlitType type, VcId vc)
     return f;
 }
 
-/** A VcStateArray over its own zeroed storage (the Network's slab). */
+/**
+ * A VcStateArray over its own storage (in a System, a slice of the
+ * Network's slab), filled with junk first: the array must not rely on
+ * the block's contents.
+ */
 struct OwnedVcs {
     OwnedVcs(int ports, int vcs, int depth)
-        : mem(std::make_unique<std::byte[]>(
-              VcStateArray::storageBytes(ports, vcs, depth))),
+        : mem(junk(VcStateArray::storageBytes(ports, vcs, depth))),
           a(ports, vcs, depth, mem.get())
     {}
+    static std::unique_ptr<std::byte[]>
+    junk(std::size_t bytes)
+    {
+        auto p = std::make_unique_for_overwrite<std::byte[]>(bytes);
+        std::fill_n(p.get(), bytes, std::byte{0xa5});
+        return p;
+    }
     std::unique_ptr<std::byte[]> mem;
     VcStateArray a;
 };

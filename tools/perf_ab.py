@@ -23,7 +23,9 @@ order flips every pair so slow drift of the host hits both sides), and
 the tool prints every metric's median and interquartile range per side
 and, for the metrics BENCHMARK.json gives a direction, how many pairs
 the change won. Each run's build output goes to
-<tmp>/<side>-<workload>-<i>.log.
+<tmp>/<side>-<workload>-<i>.log. The temporary directory is removed
+after a complete comparison; when a run fails it is kept, and its path
+printed, so the log the error names can still be read.
 """
 
 import argparse
@@ -176,6 +178,27 @@ def report(workload, samples, better):
                  side % (cq[1], cq[0], cq[2]), delta, won))
 
 
+def compare(tmp, base, workloads, pairs, extra):
+    """Export `base` under tmp and run the alternating pairs."""
+    base_tree = os.path.join(tmp, "base")
+    os.makedirs(base_tree)
+    export_base(base, base_tree)
+    trees = {"base": base_tree, "change": ROOT}
+    for side, tree in trees.items():
+        check_cache(tree)
+        print("perf_ab: %s = %s" % (side, tree), file=sys.stderr)
+    better = directions(ROOT)
+    for w in workloads:
+        samples = {"base": [], "change": []}
+        for i in range(pairs):
+            for side in pair_order(i):
+                log = os.path.join(tmp, "%s-%s-%d.log" % (side, w, i))
+                samples[side].append(run_side(trees[side], w, extra, log))
+            print("perf_ab: %s pair %d/%d done" % (w, i + 1, pairs),
+                  file=sys.stderr)
+        report(w, samples, better)
+
+
 def self_test():
     failures = []
 
@@ -229,13 +252,54 @@ def self_test():
         expect(cache_home(os.path.join(tmp, "none")) is None,
                "a tree without a cache passes")
 
+    with tempfile.TemporaryDirectory() as tmp:
+        # A perfbench that fails: the error names a log that holds
+        # what it printed to stderr.
+        os.makedirs(os.path.join(tmp, "perfbench"))
+        with open(os.path.join(tmp, "perfbench", "run.py"), "w") as f:
+            f.write("import sys\nsys.exit('build failed')\n")
+        log = os.path.join(tmp, "run.log")
+        try:
+            run_side(tmp, "w", [], log)
+            expect(False, "a failed run raises")
+        except AbError as e:
+            with open(log) as f:
+                expect(log in str(e) and "build failed" in f.read(),
+                       "a failed run's error names its log")
+
+    # main() keeps the temporary directory when a run fails and removes
+    # it after a complete comparison.
+    global compare
+    real_compare, seen = compare, []
+
+    def fake(fail):
+        def run(tmp, *rest):
+            seen.append(tmp)
+            if fail:
+                raise AbError("run failed")
+        return run
+
+    try:
+        for fail in (True, False):
+            compare = fake(fail)
+            code = main(["--pairs", str(MIN_PAIRS)])
+            kept = os.path.isdir(seen[-1])
+            expect(code == (2 if fail else 0) and kept == fail,
+                   "temporary directory %s after a %s comparison"
+                   % ("kept" if fail else "removed",
+                      "failed" if fail else "complete"))
+            if kept:
+                shutil.rmtree(seen[-1])
+    finally:
+        compare = real_compare
+
     print("perf_ab --self-test: %s" % ("FAILED (%d)" % len(failures)
                                        if failures else "all checks passed"))
     return 1 if failures else 0
 
 
-def main():
-    argv = sys.argv[1:]
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     extra = []
     if "--" in argv:
         cut = argv.index("--")
@@ -249,8 +313,6 @@ def main():
                         % MIN_PAIRS)
     parser.add_argument("--workload", action="append",
                         help="workload (repeatable; default paper_sweep)")
-    parser.add_argument("--keep", action="store_true",
-                        help="keep the exported base tree and run logs")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args(argv)
     if args.self_test:
@@ -261,32 +323,12 @@ def main():
 
     tmp = tempfile.mkdtemp(prefix="perf_ab-")
     try:
-        base_tree = os.path.join(tmp, "base")
-        os.makedirs(base_tree)
-        export_base(args.base, base_tree)
-        trees = {"base": base_tree, "change": ROOT}
-        for side, tree in trees.items():
-            check_cache(tree)
-            print("perf_ab: %s = %s" % (side, tree), file=sys.stderr)
-        better = directions(ROOT)
-        for w in workloads:
-            samples = {"base": [], "change": []}
-            for i in range(args.pairs):
-                for side in pair_order(i):
-                    log = os.path.join(tmp, "%s-%s-%d.log" % (side, w, i))
-                    samples[side].append(
-                        run_side(trees[side], w, extra, log))
-                print("perf_ab: %s pair %d/%d done"
-                      % (w, i + 1, args.pairs), file=sys.stderr)
-            report(w, samples, better)
+        compare(tmp, args.base, workloads, args.pairs, extra)
     except AbError as e:
         print("perf_ab: %s" % e, file=sys.stderr)
+        print("perf_ab: kept %s" % tmp, file=sys.stderr)
         return 2
-    finally:
-        if args.keep:
-            print("perf_ab: kept %s" % tmp, file=sys.stderr)
-        else:
-            shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(tmp, ignore_errors=True)
     return 0
 
 
