@@ -1,17 +1,14 @@
 #!/bin/sh
 # Regenerate every paper table/figure (see README).
-# --quick:    only the perf smokes (bench_micro --json): kernel
-#             fast-forward A/B and busy hot-path A/B, refreshing
-#             build/BENCH_*.json and the tracked repo-root copies,
-#             plus the experiment-ledger regression gate: a fresh
+# --quick:    only the experiment-ledger regression gate: a fresh
 #             mini-sweep is appended to build/BENCH_ledger.jsonl and
 #             checked with `inpg_report regress` against the committed
 #             sweeps/BASELINE_ledger.jsonl (see EXPERIMENTS.md for the
 #             regeneration recipe when simulated behavior changes
-#             intentionally).
-# --ledger-out=PATH (any position): experiment ledger to append runs
-#             to; default sweeps/ledger.jsonl. Exported to benches as
-#             INPG_LEDGER_PATH and stamped into BENCH_*.json meta.
+#             intentionally). Host performance is measured by
+#             perfbench/run.py and tools/perf_ab.py, not here.
+# --ledger-out=PATH (any position): history ledger the --quick runs
+#             are appended to; default sweeps/ledger.jsonl.
 # --sanitize: configure + build + ctest under ASan/UBSan in
 #             build-asan/ (exercises the raw-storage containers and
 #             callback small-buffer code under the sanitizers).
@@ -19,10 +16,10 @@
 #             and run the threaded suites (sweep-runner pool, the
 #             thread-safe Trace sink, determinism harness).
 repo_root=$(dirname "$0")
-# Provenance for BENCH_*.json: bench_micro stamps its output with this
-# SHA (plus a dirty flag) so perf numbers stay attributable to a
+# Provenance for the experiment ledger: every RunRecord is stamped
+# with this SHA (plus a dirty flag) so results stay attributable to a
 # commit. A pre-set INPG_GIT_SHA that disagrees with the checkout is a
-# stale-provenance bug -- refuse to stamp numbers with the wrong SHA.
+# stale-provenance bug -- refuse to stamp records with the wrong SHA.
 head_sha=$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null \
            || echo unknown)
 if [ -n "$INPG_GIT_SHA" ] && [ "$INPG_GIT_SHA" != "$head_sha" ]; then
@@ -50,7 +47,6 @@ for arg in "$@"; do
         *) set -- "$@" "$arg" ;;
     esac
 done
-export INPG_LEDGER_PATH
 mkdir -p "$(dirname "$INPG_LEDGER_PATH")"
 if [ "$1" = "--sanitize" ]; then
     set -e
@@ -74,35 +70,6 @@ if [ "$1" = "--tsan" ]; then
 fi
 if [ "$1" = "--quick" ]; then
     set -e
-    "$repo_root"/build/bench/bench_micro --json \
-        --out "$repo_root"/build/BENCH_kernel.json \
-        --hotpath-out "$repo_root"/build/BENCH_hotpath.json
-    # Gate before refreshing the committed copy: the fresh hotpath
-    # events/sec must be within 5% of the committed baseline's.
-    # Catches silent perf regressions at bench time, not review time.
-    # Simulated results are gated bit-exactly by the golden
-    # fingerprints (ctest) and the ledger regress below.
-    python3 - "$repo_root"/BENCH_hotpath.json \
-        "$repo_root"/build/BENCH_hotpath.json <<'EOF'
-import json, sys
-old_path, new_path = sys.argv[1], sys.argv[2]
-new = json.load(open(new_path))
-try:
-    old = json.load(open(old_path))
-except FileNotFoundError:
-    print("hotpath gate: no committed baseline; skipping perf check")
-    sys.exit(0)
-old_eps = old["runs"]["optimized"]["events_per_sec"]
-new_eps = new["runs"]["optimized"]["events_per_sec"]
-ratio = new_eps / old_eps if old_eps else float("inf")
-print("hotpath gate: optimized %.0f -> %.0f events/sec (%.2fx)"
-      % (old_eps, new_eps, ratio))
-if ratio < 0.95:
-    sys.exit("FAIL: optimized hot path regressed >5%% vs the "
-             "committed BENCH_hotpath.json (%.0f -> %.0f events/sec); "
-             "fix the regression or regenerate the baseline knowingly"
-             % (old_eps, new_eps))
-EOF
     # Experiment-ledger regression gate: re-run the baseline's
     # mini-sweep (freq under all four mechanisms on mesh:4x4; the exact
     # invocation EXPERIMENTS.md documents for regenerating
@@ -122,9 +89,6 @@ EOF
     fi
     # The gated runs join the append-only history ledger.
     cat "$fresh" >> "$INPG_LEDGER_PATH"
-    # Keep the perf trajectory visible at the repo root (committed).
-    cp "$repo_root"/build/BENCH_kernel.json \
-       "$repo_root"/build/BENCH_hotpath.json "$repo_root"/
     exit 0
 fi
 for b in "$repo_root"/build/bench/bench_*; do

@@ -73,9 +73,6 @@ class EventQueue
 
     // ---- schedule-path instrumentation (host-side, free counters) ----
 
-    /** Events scheduled over the queue's lifetime. */
-    std::uint64_t scheduledTotal() const { return statScheduled; }
-
     /** Events executed over the queue's lifetime. */
     std::uint64_t executedTotal() const { return statExecuted; }
 

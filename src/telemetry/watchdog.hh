@@ -110,7 +110,6 @@ class ProgressWatchdog
     Cycle lastProgressAt() const { return lastProgressCycle; }
     std::uint64_t polls() const { return pollCount; }
     std::uint64_t trips() const { return tripCount; }
-    std::size_t numCounters() const { return counters.size(); }
 
   private:
     void poll(Cycle now);

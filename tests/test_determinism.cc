@@ -45,7 +45,8 @@ struct Fingerprint {
 
 Fingerprint
 runOnce(Mechanism mech, LockKind lock, bool fast_forward,
-        std::uint64_t *ff_cycles = nullptr)
+        std::uint64_t *ff_cycles = nullptr,
+        std::uint64_t *schedule_heap_allocs = nullptr)
 {
     SystemConfig cfg;
     cfg.noc.meshWidth = 4;
@@ -83,6 +84,9 @@ runOnce(Mechanism mech, LockKind lock, bool fast_forward,
                            .stats.value("flits_sent");
     if (ff_cycles)
         *ff_cycles = system.sim().cyclesFastForwarded();
+    if (schedule_heap_allocs)
+        *schedule_heap_allocs =
+            system.sim().events().scheduleHeapAllocs();
     return f;
 }
 
@@ -118,10 +122,17 @@ TEST(Determinism, FastForwardIsInvisibleWithInpg)
 TEST(Determinism, FastForwardIsInvisibleForSpinLocks)
 {
     // TAS spinners keep the fabric busy; there is little to skip, but
-    // the results must still match exactly.
-    Fingerprint off = runOnce(Mechanism::Original, LockKind::Tas, false);
-    Fingerprint on = runOnce(Mechanism::Original, LockKind::Tas, true);
+    // the results must still match exactly. The busy schedule path
+    // must also stay allocation-free: every callback fits the
+    // SmallCallback inline buffer.
+    std::uint64_t allocs_off = 1, allocs_on = 1;
+    Fingerprint off = runOnce(Mechanism::Original, LockKind::Tas, false,
+                              nullptr, &allocs_off);
+    Fingerprint on = runOnce(Mechanism::Original, LockKind::Tas, true,
+                             nullptr, &allocs_on);
     EXPECT_TRUE(off == on);
+    EXPECT_EQ(allocs_off, 0u);
+    EXPECT_EQ(allocs_on, 0u);
 }
 
 TEST(Determinism, SweepMatchesSerialRuns)

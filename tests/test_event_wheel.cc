@@ -48,10 +48,11 @@ TEST(EventWheel, SameCycleFifoAcrossRollover)
     ASSERT_EQ(fired.size(), 3 * cycles.size());
     for (std::size_t i = 1; i < fired.size(); ++i) {
         EXPECT_LE(fired[i - 1].first, fired[i].first);
-        if (fired[i - 1].first == fired[i].first)
+        if (fired[i - 1].first == fired[i].first) {
             // Same cycle: scheduling order (id ascending here, since
             // id-0 events were all scheduled before id-1 events).
             EXPECT_LT(fired[i - 1].second, fired[i].second);
+        }
     }
 }
 

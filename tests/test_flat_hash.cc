@@ -45,8 +45,9 @@ TEST(FlatHash, MirrorsUnorderedMapUnderSkewedAddrs)
             const std::uint64_t *f = flat.find(a);
             auto it = mirror.find(a);
             ASSERT_EQ(f != nullptr, it != mirror.end()) << "addr " << a;
-            if (f)
+            if (f) {
                 ASSERT_EQ(*f, it->second) << "addr " << a;
+            }
         } else {
             ASSERT_EQ(flat.erase(a), mirror.erase(a) != 0) << "addr " << a;
         }
@@ -111,9 +112,10 @@ TEST(FlatHash, EraseBackwardShiftKeepsLookupsExact)
         } else {
             ++it;
         }
-        if (mirror.size() % 16 == 0)
+        if (mirror.size() % 16 == 0) {
             for (const auto &[k, v] : mirror)
                 ASSERT_NE(flat.find(k), nullptr) << "addr " << k;
+        }
     }
     for (const auto &[k, v] : mirror)
         ASSERT_TRUE(flat.erase(k));

@@ -300,8 +300,9 @@ TEST(Inpg, EarlyInvalidationShortensRoundTrips)
     // Locality: the big-router round trips are shorter than the
     // home-node ones within the same run. (The full tail-collapse
     // comparison runs on the 8x8 system in bench_fig10_rtt.)
-    if (home_mean_inpg > 0)
+    if (home_mean_inpg > 0) {
         EXPECT_LT(early_mean, home_mean_inpg);
+    }
 }
 
 } // namespace

@@ -5,10 +5,9 @@
 #      transition tables: coverage, vnet acyclicity, LCO hook tiling,
 #      reachability) and tools/lint_inpg.py --self-test (determinism
 #      lint, DESIGN.md invariants 10-18);
-#   2. ./run_benches.sh --quick    -- kernel fast-forward A/B and busy
-#      hot-path A/B perf smokes (non-zero exit if either optimization
-#      changes simulated results or the optimized schedule path
-#      allocates), refreshing BENCH_*.json;
+#   2. ./run_benches.sh --quick    -- experiment-ledger regress: a
+#      fresh freq mini-sweep must reproduce the committed
+#      sweeps/BASELINE_ledger.jsonl bit-exactly;
 #   3. seeded-hang watchdog smoke -- inpg_sim with the test-only
 #      drop_dir_response knob must exit 86 (HANG_EXIT_CODE) and write
 #      a well-formed structured hang report;
@@ -254,8 +253,9 @@ if [ "$want_tidy" = 1 ]; then
     run_tidy
 fi
 
-echo "=== ci.sh stage 2: perf smokes ==="
-cmake --build "$repo_root/build" -j "$(nproc)" --target bench_micro
+echo "=== ci.sh stage 2: experiment-ledger regress ==="
+cmake --build "$repo_root/build" -j "$(nproc)" \
+    --target inpg_sim --target inpg_report
 "$repo_root/run_benches.sh" --quick
 
 echo "=== ci.sh stage 3: seeded-hang watchdog smoke ==="
